@@ -782,8 +782,8 @@ impl<'g> CandidateBatch<'g> {
     /// every op; only the amount of work spent differs.
     pub fn evaluate_ops(&mut self, ops: &[OpId], prune: bool) -> Vec<f64> {
         // An Error-kind injected fault degrades the sweep into NaN
-        // deltas, which every driver (full search, threshold search,
-        // session warm remap) converts to a typed
+        // deltas, which both search drivers (exhaustive and threshold,
+        // full map or warm remap) convert to a typed
         // `MapperError::NanDelta` — the engine's one typed error path.
         if crate::faults::fault_point(crate::faults::FaultSite::CandidateSweep) {
             return vec![f64::NAN; ops.len()];

@@ -54,8 +54,6 @@ pub use batch::{
     MAX_SCHEDULES,
 };
 pub use faults::{FaultKind, FaultSchedule, FaultSite, INJECTED_PANIC_PREFIX};
-#[allow(deprecated)]
-pub use mapper::try_decomposition_map_with_tables;
 pub use mapper::{
     decomposition_map, decomposition_map_reference, try_decomposition_map,
     try_decomposition_map_reference, CostModel, MapperConfig, MapperError, MapperResult, OpId,

@@ -10,7 +10,7 @@ use std::fmt;
 
 use spmap_decomp::{series_parallel_subgraphs, single_node_subgraphs, CutPolicy};
 use spmap_graph::{NodeId, TaskGraph};
-use spmap_model::{DeviceId, Evaluator, Mapping, Platform};
+use spmap_model::{DeviceId, EvalTables, Evaluator, Mapping, Platform};
 use spmap_par::DispatchStats;
 
 use crate::batch::{BatchStats, CandidateBatch, EngineConfig};
@@ -60,6 +60,14 @@ pub enum MapperError {
         /// The requested algorithm family.
         algo: &'static str,
     },
+    /// The γ-threshold look-ahead divisor is NaN or below 1.
+    InvalidGamma,
+    /// The request restricts candidates to a device the platform does
+    /// not have.
+    UnknownDevice {
+        /// The out-of-range device.
+        device: DeviceId,
+    },
 }
 
 impl fmt::Display for MapperError {
@@ -75,6 +83,14 @@ impl fmt::Display for MapperError {
                 f,
                 "algorithm family '{algo}' is not executable by this entry point \
                  (route Algo::Ga requests through spmap_ga::nsga2_map_request)"
+            ),
+            MapperError::InvalidGamma => write!(
+                f,
+                "the γ-threshold look-ahead divisor must be a number >= 1 (got NaN or less)"
+            ),
+            MapperError::UnknownDevice { device } => write!(
+                f,
+                "the device restriction names {device:?}, which the platform does not have"
             ),
         }
     }
@@ -112,6 +128,17 @@ impl SearchHeuristic {
     /// The paper's FirstFit heuristic (`γ = 1`).
     pub fn first_fit() -> Self {
         SearchHeuristic::GammaThreshold { gamma: 1.0 }
+    }
+
+    /// Reject a γ that is NaN or below 1 with
+    /// [`MapperError::InvalidGamma`].
+    pub(crate) fn validate(self) -> Result<Self, MapperError> {
+        match self {
+            SearchHeuristic::GammaThreshold { gamma } if gamma.is_nan() || gamma < 1.0 => {
+                Err(MapperError::InvalidGamma)
+            }
+            h => Ok(h),
+        }
     }
 }
 
@@ -258,56 +285,33 @@ pub fn try_decomposition_map(
     try_decomposition_map_on(graph, platform, cfg, None)
 }
 
-/// The shared owned-tables driver behind [`try_decomposition_map`] and
-/// [`crate::map_request`]: optionally restricts the candidate device
-/// list (a `None` restriction means every platform device).  Restricting
-/// devices is exact — an avoided device contributes no exec, link or
-/// area term — and is how availability-limited requests (device loss)
-/// are executed without platform surgery.
+/// The driver behind [`try_decomposition_map`] and
+/// [`crate::map_request`]: builds the tables, then runs
+/// [`try_decomposition_map_with_tables_on`].
 pub(crate) fn try_decomposition_map_on(
     graph: &TaskGraph,
     platform: &Platform,
     cfg: &MapperConfig,
     devices: Option<&[DeviceId]>,
 ) -> Result<MapperResult, MapperError> {
-    let subgraphs = build_subgraphs(graph, cfg.strategy);
-    let devices: Vec<DeviceId> = match devices {
-        Some(ds) => ds.to_vec(),
-        None => platform.device_ids().collect(),
-    };
-    let engine =
-        CandidateBatch::with_cost(graph, platform, subgraphs, devices, cfg.engine, cfg.cost);
-    drive_search(engine, cfg)
+    let tables = EvalTables::with_numbering(graph, platform, cfg.engine.numbering);
+    try_decomposition_map_with_tables_on(&tables, cfg, devices)
 }
 
-/// Run decomposition-based mapping on *pre-built* shared evaluation
-/// tables (e.g. from a service's artifact cache), skipping table
-/// construction.  Graph and platform are recovered from the tables; the
-/// run is bit-identical to [`try_decomposition_map`] on the same inputs
-/// — the tables are immutable and everything downstream of them is
-/// per-run state.
+/// Decomposition mapping on pre-built evaluation tables (owned, or
+/// shared from an artifact cache — the tables are immutable, so both
+/// give the same bits), optionally restricting the candidate device
+/// list (`None` = every platform device).  Restricting devices is exact
+/// — an avoided device contributes no exec, link or area term — and is
+/// how availability-limited requests (device loss) are executed without
+/// platform surgery.
 ///
 /// # Panics
 ///
 /// If `cfg.engine.numbering` disagrees with the numbering the tables
 /// were built under (see [`CandidateBatch::with_shared_tables`]).
-#[deprecated(
-    note = "route requests through spmap_core::map_request / MapService::map; \
-            this free function bypasses the unified request surface"
-)]
-pub fn try_decomposition_map_with_tables<'g>(
-    tables: &'g spmap_model::EvalTables<'g>,
-    cfg: &MapperConfig,
-) -> Result<MapperResult, MapperError> {
-    try_decomposition_map_with_tables_on(tables, cfg, None)
-}
-
-/// The shared pre-built-tables driver behind the service and session
-/// paths: [`try_decomposition_map_with_tables`] with an optional
-/// candidate-device restriction (see [`try_decomposition_map_on`] for
-/// the exactness argument).
 pub(crate) fn try_decomposition_map_with_tables_on<'g>(
-    tables: &'g spmap_model::EvalTables<'g>,
+    tables: &'g EvalTables<'g>,
     cfg: &MapperConfig,
     devices: Option<&[DeviceId]>,
 ) -> Result<MapperResult, MapperError> {
@@ -319,25 +323,30 @@ pub(crate) fn try_decomposition_map_with_tables_on<'g>(
     };
     let engine =
         CandidateBatch::with_shared_tables(tables, subgraphs, devices, cfg.engine, cfg.cost);
-    drive_search(engine, cfg)
+    let ops: Vec<OpId> = (0..engine.op_count()).collect();
+    drive_search(engine, cfg, &ops)
 }
 
-/// The search loop shared by the owned-tables and shared-tables entry
-/// points: identical decisions regardless of where the tables came from.
-fn drive_search(
+/// The one greedy search loop: run `cfg`'s heuristic over the
+/// operations `ops` (ascending op ids) from the engine's base mapping.
+/// A full map passes every op from the all-default base; a warm remap
+/// passes its neighborhood from the repaired incumbent.  Decisions do
+/// not depend on where the tables came from.  `cpu_only_makespan` of
+/// the result is the base mapping's makespan.
+pub(crate) fn drive_search(
     mut engine: CandidateBatch<'_>,
     cfg: &MapperConfig,
+    ops: &[OpId],
 ) -> Result<MapperResult, MapperError> {
     let cpu_only = engine.current_makespan();
     let cap = cfg
         .iteration_cap
         .unwrap_or(engine.tables().graph().node_count().max(1));
 
-    let (iterations, history) = match cfg.heuristic {
-        SearchHeuristic::Exhaustive => exhaustive_search(&mut engine, cap, cfg.engine.prune)?,
+    let (iterations, history) = match cfg.heuristic.validate()? {
+        SearchHeuristic::Exhaustive => exhaustive_search(&mut engine, ops, cap, cfg.engine.prune)?,
         SearchHeuristic::GammaThreshold { gamma } => {
-            assert!(gamma >= 1.0, "gamma must be >= 1");
-            gamma_threshold_search(&mut engine, cap, gamma)?
+            gamma_threshold_search(&mut engine, ops, cap, gamma)?
         }
     };
 
@@ -369,24 +378,24 @@ pub fn decomposition_map(
     try_decomposition_map(graph, platform, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The basic variant: evaluate every operation in every iteration and
-/// commit the best one (paper §III-A steps 2–4), one engine batch per
-/// iteration.
+/// The basic variant: evaluate every operation of `ops` in every
+/// iteration and commit the best one (paper §III-A steps 2–4), one
+/// engine batch per iteration.
 fn exhaustive_search(
     engine: &mut CandidateBatch<'_>,
+    ops: &[OpId],
     cap: usize,
     prune: bool,
 ) -> Result<(usize, Vec<f64>), MapperError> {
-    let ops: Vec<OpId> = (0..engine.op_count()).collect();
     let mut history = Vec::new();
     let mut iterations = 0;
     while iterations < cap {
-        let deltas = engine.evaluate_ops(&ops, prune);
-        // Serial reduce in candidate-index order: ties go to the lowest
-        // index, exactly like the serial reference — thread arrival
-        // order cannot influence the choice.
+        let deltas = engine.evaluate_ops(ops, prune);
+        // Serial reduce in ascending op order: ties go to the lowest op
+        // id, exactly like the serial reference — thread arrival order
+        // cannot influence the choice.
         let mut best: Option<(OpId, f64)> = None;
-        for (op, &delta) in deltas.iter().enumerate() {
+        for (&op, &delta) in ops.iter().zip(&deltas) {
             if delta.is_nan() {
                 return Err(MapperError::NanDelta { op });
             }
@@ -429,12 +438,9 @@ pub fn try_decomposition_map_reference(
     let cpu_only = ctx.cur;
     let cap = cfg.iteration_cap.unwrap_or(graph.node_count().max(1));
 
-    let (iterations, history) = match cfg.heuristic {
+    let (iterations, history) = match cfg.heuristic.validate()? {
         SearchHeuristic::Exhaustive => ctx.exhaustive(cap)?,
-        SearchHeuristic::GammaThreshold { gamma } => {
-            assert!(gamma >= 1.0, "gamma must be >= 1");
-            ctx.gamma_threshold(cap, gamma)?
-        }
+        SearchHeuristic::GammaThreshold { gamma } => ctx.gamma_threshold(cap, gamma)?,
     };
 
     let subgraph_count = ctx.subgraphs.len();

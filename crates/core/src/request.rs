@@ -192,15 +192,25 @@ impl MapRequest {
         self
     }
 
-    /// The [`MapperConfig`] equivalent of this request, or
+    /// The [`MapperConfig`] equivalent of this request, validated:
     /// [`MapperError::UnsupportedAlgo`] if the family is not a
-    /// decomposition search.
+    /// decomposition search, [`MapperError::InvalidGamma`] for a γ that
+    /// is NaN or below 1, and [`MapperError::UnknownDevice`] if
+    /// `limits.devices` names a device the platform does not have.
+    /// Every decomposition entry point (one-shot maps and session opens)
+    /// starts here, so a malformed request is refused before any work.
     pub fn mapper_config(&self) -> Result<MapperConfig, MapperError> {
         let heuristic = match self.algo {
             Algo::Exhaustive => SearchHeuristic::Exhaustive,
             Algo::GammaThreshold { gamma } => SearchHeuristic::GammaThreshold { gamma },
             Algo::Ga(_) => return Err(MapperError::UnsupportedAlgo { algo: "nsga2" }),
-        };
+        }
+        .validate()?;
+        let devices = self.limits.devices.as_deref().unwrap_or_default();
+        let m = self.platform.device_count();
+        if let Some(&device) = devices.iter().find(|d| d.index() >= m) {
+            return Err(MapperError::UnknownDevice { device });
+        }
         Ok(MapperConfig {
             strategy: self.strategy,
             heuristic,

@@ -456,11 +456,12 @@ impl MapService {
     ///
     /// Returns [`ServiceError::Overloaded`] without blocking when both
     /// the run slots and the bounded wait queue are full, and
-    /// [`ServiceError::Mapper`] if the mapper itself fails (or the
-    /// request names an algorithm family this service cannot run —
-    /// [`Algo::Ga`](crate::Algo::Ga) routes through
-    /// `spmap_ga::nsga2_map_request`); either way the slot accounting
-    /// is restored.  A panic inside the engine is contained to this
+    /// [`ServiceError::Mapper`] if the mapper itself fails or the
+    /// request is invalid (an algorithm family this service cannot run
+    /// — [`Algo::Ga`](crate::Algo::Ga) routes through
+    /// `spmap_ga::nsga2_map_request` — a γ below 1 or NaN, an
+    /// out-of-range device); either way the slot accounting is
+    /// restored.  A panic inside the engine is contained to this
     /// caller as [`ServiceError::Internal`] — the slot guard releases
     /// during the unwind, so concurrent requests are unaffected.
     pub fn map(&self, request: &MapRequest) -> Result<MapResponse, ServiceError> {
@@ -470,12 +471,6 @@ impl MapService {
             slot.mark_failed();
         }
         outcome
-    }
-
-    /// The pre-PR-9 name of [`MapService::map`].
-    #[deprecated(note = "renamed to MapService::map — the unified MapRequest surface")]
-    pub fn submit(&self, request: &MapRequest) -> Result<MapResponse, ServiceError> {
-        self.map(request)
     }
 
     /// Open a remapping session: run `request`'s initial full map under

@@ -16,17 +16,23 @@
 //! 2. **Seed a neighborhood**: the candidate operations whose subgraph
 //!    touches an affected node (plus, after a device restoration, every
 //!    operation targeting the restored device).
-//! 3. **Search** greedily over that neighborhood only, through the same
-//!    windowed [`CandidateBatch`] engine as a full run — but
-//!    warm-started on the repaired incumbent
-//!    ([`CandidateBatch::with_shared_tables_warm`]), so unaffected
-//!    regions of a large graph are never re-examined.
+//! 3. **Search** that neighborhood only, with the session's own
+//!    heuristic (exhaustive or γ-threshold/FirstFit), through the
+//!    mapper's one search loop — the same driver and windowed
+//!    [`CandidateBatch`] engine as a full map, but warm-started on the
+//!    repaired incumbent ([`CandidateBatch::with_shared_tables_warm`]),
+//!    so unaffected regions of a large graph are never re-examined.
 //!
-//! [`RemapSession::remap_full`] keeps the from-scratch re-map as the
-//! executable-spec fallback (same patched inputs, all-default start,
-//! the configured full heuristic); `perf_report --remap` measures the
-//! gap.  An **empty perturbation batch returns the incumbent bits** —
-//! pinned by the service stress suite.
+//! [`RemapSession::remap_full`] is the same path with the full
+//! operation set from the all-default mapping: the from-scratch
+//! executable-spec fallback.  `perf_report --remap` measures the gap
+//! per perturbation kind and gates on it: warm must make no more
+//! candidate decisions than full.  A device restoration is the widest
+//! warm case — it reopens every subgraph for the restored device, a
+//! third of the operations on the reference platform — yet FirstFit
+//! over that column still beats a from-scratch FirstFit (docs/PERF.md).
+//! An **empty perturbation batch returns the incumbent bits** — pinned
+//! by the service stress suite.
 //!
 //! ## Exactness and determinism
 //!
@@ -55,7 +61,8 @@ use spmap_model::{
 
 use crate::batch::{BatchStats, CandidateBatch};
 use crate::mapper::{
-    build_subgraphs, try_decomposition_map_with_tables_on, MapperConfig, MapperError, MapperResult,
+    build_subgraphs, drive_search, try_decomposition_map_with_tables_on, MapperConfig, MapperError,
+    MapperResult, OpId,
 };
 use crate::request::MapRequest;
 
@@ -249,9 +256,11 @@ impl RemapSession {
     /// passes its own); `req.limits.devices` seeds the availability
     /// mask (it must include the platform's default device).
     ///
-    /// GA requests cannot open sessions — the warm-start engine is the
-    /// decomposition engine — and return
-    /// [`MapperError::UnsupportedAlgo`].
+    /// The request is validated by [`MapRequest::mapper_config`] like a
+    /// one-shot map: GA requests cannot open sessions — the warm-start
+    /// engine is the decomposition engine — and return
+    /// [`MapperError::UnsupportedAlgo`]; an invalid γ or an
+    /// out-of-range device is a typed [`MapperError`] too.
     pub fn open(
         req: &MapRequest,
         cache: Option<Arc<Mutex<ArtifactCache>>>,
@@ -263,9 +272,6 @@ impl RemapSession {
             Some(ds) => {
                 let mut mask = vec![false; m];
                 for &d in ds {
-                    if d.index() >= m {
-                        return Err(RemapError::UnknownDevice(d));
-                    }
                     mask[d.index()] = true;
                 }
                 if !mask[req.platform.default_device().index()] {
@@ -354,9 +360,36 @@ impl RemapSession {
     }
 
     /// React to `perturbations` by warm-starting the search from the
-    /// repaired incumbent over the affected neighborhood.  An empty
-    /// batch returns the incumbent bits untouched.
+    /// repaired incumbent over the affected neighborhood, with the
+    /// session's own heuristic.  An empty batch returns the incumbent
+    /// bits untouched.
     pub fn remap(&mut self, perturbations: &[Perturbation]) -> Result<RemapOutcome, RemapError> {
+        self.remap_with(perturbations, true)
+    }
+
+    /// The executable-spec fallback: compile the same perturbations,
+    /// then re-map the patched instance *from scratch* with the
+    /// session's configuration (all-default start, every operation).
+    /// Same exactness, no warm start — this is what
+    /// `perf_report --remap` races [`Self::remap`] against, and what a
+    /// caller should prefer when a perturbation invalidates most of the
+    /// incumbent anyway.
+    pub fn remap_full(
+        &mut self,
+        perturbations: &[Perturbation],
+    ) -> Result<RemapOutcome, RemapError> {
+        self.remap_with(perturbations, false)
+    }
+
+    /// The one remap path: compile, pick the artifact and subgraphs,
+    /// search, build the outcome, commit.  `warm` searches the
+    /// neighborhood from the repaired incumbent; otherwise every
+    /// operation is searched from the all-default mapping.
+    fn remap_with(
+        &mut self,
+        perturbations: &[Perturbation],
+        warm: bool,
+    ) -> Result<RemapOutcome, RemapError> {
         if perturbations.is_empty() {
             return Ok(self.noop_outcome());
         }
@@ -370,157 +403,75 @@ impl RemapSession {
         } else {
             self.subgraphs.clone()
         };
+        let m = devices.len();
+        let op_count = subgraphs.len() * m;
 
         // The warm neighborhood: operations whose subgraph touches an
-        // affected node, plus every operation targeting a device
-        // restored in this batch.  Ascending op ids keep evaluation
-        // order deterministic.
-        let m = devices.len();
-        let restored_cols: Vec<usize> = devices
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| c.restored[d.index()])
-            .map(|(j, _)| j)
+        // affected node or whose device was restored in this batch.
+        // Ascending op ids, like the full set.
+        let ops: Vec<OpId> = (0..op_count)
+            .filter(|&op| {
+                !warm
+                    || c.restored[devices[op % m].index()]
+                    || subgraphs[op / m].iter().any(|v| c.affected[v.index()])
+            })
             .collect();
-        let mut ops: Vec<usize> = Vec::new();
-        for (s, sub) in subgraphs.iter().enumerate() {
-            if sub.iter().any(|v| c.affected[v.index()]) {
-                ops.extend((0..m).map(|j| s * m + j));
+
+        // Nothing to re-decide on an unchanged instance (e.g. losing a
+        // device no task was mapped to): keep the incumbent bits and
+        // build no engine.
+        let (mapping, makespan, warm_start_makespan, iterations, history, batch) =
+            if ops.is_empty() && !c.graph_changed {
+                let ms = self.incumbent_makespan;
+                (
+                    c.incumbent.clone(),
+                    ms,
+                    ms,
+                    0,
+                    Vec::new(),
+                    BatchStats::default(),
+                )
             } else {
-                ops.extend(restored_cols.iter().map(|&j| s * m + j));
-            }
-        }
-
-        let affected_nodes = c.affected.iter().filter(|&&a| a).count();
-        if ops.is_empty() && !c.graph_changed {
-            // Nothing to re-decide and the instance is unchanged (e.g.
-            // losing a device no task was mapped to): commit the
-            // availability change and keep the incumbent bits.
-            let outcome = RemapOutcome {
-                mapping: c.incumbent.clone(),
-                makespan: self.incumbent_makespan,
-                warm_start_makespan: self.incumbent_makespan,
-                iterations: 0,
-                history: Vec::new(),
-                affected_nodes,
-                neighborhood_ops: 0,
-                op_count: subgraphs.len() * m,
-                noop: false,
-                warm: true,
-                graph_rebuilt: false,
-                cache_hit: false,
-                session_key: 0, // patched below
-                batch: BatchStats::default(),
+                let base = if warm {
+                    c.incumbent.clone()
+                } else {
+                    Mapping::all_default(&c.graph, &self.platform)
+                };
+                let engine = CandidateBatch::with_shared_tables_warm(
+                    artifact.tables(),
+                    subgraphs.clone(),
+                    devices,
+                    self.cfg.engine,
+                    self.cfg.cost,
+                    base,
+                );
+                let r = drive_search(engine, &self.cfg, &ops)?;
+                let warm_start = r.cpu_only_makespan;
+                (
+                    r.mapping,
+                    r.makespan,
+                    warm_start,
+                    r.iterations,
+                    r.history,
+                    r.batch,
+                )
             };
-            return Ok(self.commit_outcome(c, artifact, subgraphs, outcome));
-        }
-
-        let (mapping, makespan, warm_start, iterations, history, batch) = {
-            let mut engine = CandidateBatch::with_shared_tables_warm(
-                artifact.tables(),
-                subgraphs.clone(),
-                devices,
-                self.cfg.engine,
-                self.cfg.cost,
-                c.incumbent.clone(),
-            );
-            let warm_start = engine.current_makespan();
-            let cap = self
-                .cfg
-                .iteration_cap
-                .unwrap_or(c.graph.node_count().max(1));
-            let mut history = Vec::new();
-            let mut iterations = 0;
-            while iterations < cap {
-                let deltas = engine.evaluate_ops(&ops, self.cfg.engine.prune);
-                // Serial reduce in neighborhood order: ties go to the
-                // lowest op id, exactly like the full search.
-                let mut best: Option<(usize, f64)> = None;
-                for (i, &delta) in deltas.iter().enumerate() {
-                    if delta.is_nan() {
-                        return Err(MapperError::NanDelta { op: ops[i] }.into());
-                    }
-                    if engine.improves(delta) && best.is_none_or(|(_, b)| delta > b) {
-                        best = Some((i, delta));
-                    }
-                }
-                match best {
-                    Some((i, _)) => {
-                        engine.commit(ops[i]);
-                        history.push(engine.current_makespan());
-                        iterations += 1;
-                    }
-                    None => break,
-                }
-            }
-            (
-                engine.mapping().clone(),
-                engine.current_makespan(),
-                warm_start,
-                iterations,
-                history,
-                engine.stats(),
-            )
-        };
 
         let outcome = RemapOutcome {
             mapping,
             makespan,
-            warm_start_makespan: warm_start,
+            warm_start_makespan,
             iterations,
             history,
-            affected_nodes,
-            neighborhood_ops: ops.len(),
-            op_count: subgraphs.len() * m,
-            noop: false,
-            warm: true,
-            graph_rebuilt: c.graph_changed,
-            cache_hit,
-            session_key: 0, // patched below
-            batch,
-        };
-        Ok(self.commit_outcome(c, artifact, subgraphs, outcome))
-    }
-
-    /// The executable-spec fallback: compile the same perturbations,
-    /// then re-map the patched instance *from scratch* with the
-    /// session's full configuration (all-default start, full candidate
-    /// sweep).  Same exactness, no warm start — this is what
-    /// `perf_report --remap` races [`Self::remap`] against, and what a
-    /// caller should prefer when a perturbation invalidates most of the
-    /// incumbent anyway.
-    pub fn remap_full(
-        &mut self,
-        perturbations: &[Perturbation],
-    ) -> Result<RemapOutcome, RemapError> {
-        if perturbations.is_empty() {
-            return Ok(self.noop_outcome());
-        }
-        let c = self.compile(perturbations)?;
-        let devices = device_list(&c.available);
-        let (artifact, cache_hit) = self.artifact_for(&c);
-        let subgraphs = if c.graph_changed {
-            build_subgraphs(&c.graph, self.cfg.strategy)
-        } else {
-            self.subgraphs.clone()
-        };
-        let result =
-            try_decomposition_map_with_tables_on(artifact.tables(), &self.cfg, Some(&devices))?;
-        let outcome = RemapOutcome {
-            mapping: result.mapping.clone(),
-            makespan: result.makespan,
-            warm_start_makespan: result.cpu_only_makespan,
-            iterations: result.iterations,
-            history: result.history,
             affected_nodes: c.affected.iter().filter(|&&a| a).count(),
-            neighborhood_ops: 0,
-            op_count: subgraphs.len() * devices.len(),
+            neighborhood_ops: if warm { ops.len() } else { 0 },
+            op_count,
             noop: false,
-            warm: false,
+            warm,
             graph_rebuilt: c.graph_changed,
             cache_hit,
-            session_key: 0, // patched below
-            batch: result.batch,
+            session_key: 0, // stamped by `commit_outcome`
+            batch,
         };
         Ok(self.commit_outcome(c, artifact, subgraphs, outcome))
     }
@@ -981,6 +932,37 @@ mod tests {
             .expect("attrs");
         assert!(out.graph_rebuilt);
         assert!(out.makespan.is_finite());
+    }
+
+    #[test]
+    fn warm_restore_runs_the_sessions_own_heuristic() {
+        // A warm remap searches with the request's heuristic: on the
+        // same instance and perturbation, a FirstFit session's warm
+        // restoration makes fewer candidate decisions than an
+        // exhaustive session's, which re-sweeps the whole neighborhood
+        // every iteration.
+        let first_fit = session_request(40, 9);
+        let exhaustive = first_fit.clone().with_algo(crate::Algo::Exhaustive);
+        let lost = {
+            let s = RemapSession::open(&first_fit, None).expect("probe");
+            non_default_device(&first_fit.platform, s.incumbent())
+        };
+        let restore = |req: &MapRequest| {
+            let mut s = RemapSession::open(req, None).expect("open");
+            s.remap(&[Perturbation::DeviceLost(lost)]).expect("loss");
+            s.remap(&[Perturbation::DeviceRestored(lost)])
+                .expect("restore")
+        };
+        let ff = restore(&first_fit);
+        let ex = restore(&exhaustive);
+        assert_eq!(ff.neighborhood_ops, ex.neighborhood_ops);
+        assert!(ex.iterations > 0, "the restore must have work to do");
+        assert!(
+            ff.batch.total() < ex.batch.total(),
+            "FirstFit warm restore made {} decisions, exhaustive {}",
+            ff.batch.total(),
+            ex.batch.total()
+        );
     }
 
     #[test]

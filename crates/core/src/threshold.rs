@@ -171,63 +171,57 @@ impl WaveController {
     }
 }
 
-/// Run the γ-threshold search through the candidate engine; returns
-/// `(iterations, history)`.
+/// Run the γ-threshold search over the operations `ops` (ascending op
+/// ids) through the candidate engine; returns `(iterations, history)`.
+/// A full run passes every op; a warm remap passes its neighborhood.
 ///
-/// Expectations start at `+∞`, so the first iteration degenerates to a
-/// full sweep exactly as the paper describes ("we assign an expected
-/// makespan improvement to each mapping operation after the first
-/// iteration").  The decision sequence — which operations get evaluated,
-/// their expectation updates, and the committed winner — is identical to
-/// the serial reference for every wave size; see the module docs.
+/// Expectations are indexed by position in `ops` and start at `+∞`, so
+/// the first iteration degenerates to a sweep of `ops` exactly as the
+/// paper describes ("we assign an expected makespan improvement to each
+/// mapping operation after the first iteration").  The decision
+/// sequence — which operations get evaluated, their expectation
+/// updates, and the committed winner — is identical to the serial
+/// reference for every wave size; see the module docs.
 ///
 /// A NaN improvement delta aborts with [`MapperError::NanDelta`] before
 /// it can silently corrupt the expectation order (see [`Key`]).
 pub(crate) fn gamma_threshold_search(
     engine: &mut CandidateBatch<'_>,
+    ops: &[OpId],
     cap: usize,
     gamma: f64,
 ) -> Result<(usize, Vec<f64>), MapperError> {
-    let op_count = engine.op_count();
     let mut wave = WaveController::new(engine.threads());
-    let mut expected = vec![f64::INFINITY; op_count];
-    let mut evaluated = vec![false; op_count];
+    let mut expected = vec![f64::INFINITY; ops.len()];
     let mut history = Vec::new();
     let mut iterations = 0;
 
     while iterations < cap {
-        // Rebuild the priority queue from current expectations.  Stale
-        // entries are impossible this way, and the rebuild is O(K), far
-        // below the cost of even a single model evaluation.
-        let mut heap: BinaryHeap<(Key, OpId)> = BinaryHeap::with_capacity(op_count);
-        for (op, &exp) in expected.iter().enumerate() {
-            heap.push((Key::new(exp).map_err(|_| MapperError::NanDelta { op })?, op));
+        // Rebuild the priority queue from current expectations: one
+        // entry per position, so no entry is ever stale or popped twice,
+        // and an entry's key is its `expected` value until it is
+        // evaluated.  The rebuild is O(K), far below the cost of even a
+        // single model evaluation.  Ties pop the higher position first —
+        // with `ops` ascending, the higher op id, as in the reference.
+        let mut heap: BinaryHeap<(Key, usize)> = BinaryHeap::with_capacity(ops.len());
+        for (i, &exp) in expected.iter().enumerate() {
+            let key = Key::new(exp).map_err(|_| MapperError::NanDelta { op: ops[i] })?;
+            heap.push((key, i));
         }
-        evaluated.iter_mut().for_each(|e| *e = false);
         let mut found: Option<(OpId, f64)> = None;
+        let mut wave_pos: Vec<usize> = Vec::with_capacity(wave.size());
         let mut wave_ops: Vec<OpId> = Vec::with_capacity(wave.size());
-        let mut wave_exps: Vec<f64> = Vec::with_capacity(wave.size());
 
         'pass: loop {
             // Speculatively take the next `wave.size()` pops — exactly
             // the prefix the serial loop would consider next.
-            wave_ops.clear();
-            wave_exps.clear();
-            while wave_ops.len() < wave.size() {
-                match heap.pop() {
-                    Some((key, op)) => {
-                        if evaluated[op] {
-                            continue;
-                        }
-                        wave_ops.push(op);
-                        wave_exps.push(key.get());
-                    }
-                    None => break,
-                }
-            }
-            if wave_ops.is_empty() {
+            wave_pos.clear();
+            wave_pos.extend(std::iter::from_fn(|| heap.pop().map(|(_, i)| i)).take(wave.size()));
+            if wave_pos.is_empty() {
                 break 'pass;
             }
+            wave_ops.clear();
+            wave_ops.extend(wave_pos.iter().map(|&i| ops[i]));
             // One parallel batch (memoized, unpruned: the γ-search needs
             // every delta it asks for, because deltas become the next
             // iteration's expectations).
@@ -235,13 +229,13 @@ pub(crate) fn gamma_threshold_search(
             // Serial replay of the decision sequence.
             let mut consumed = 0usize;
             let mut cut_short = false;
-            for ((&op, &exp), &delta) in wave_ops.iter().zip(&wave_exps).zip(&deltas) {
+            for ((&i, &op), &delta) in wave_pos.iter().zip(&wave_ops).zip(&deltas) {
                 if let Some((_, best)) = found {
                     // Look-ahead bound: only operations whose expected
                     // improvement exceeds Δ/γ are still worth
                     // evaluating; everything speculated beyond this
                     // point is discarded unseen.
-                    if exp <= best / gamma {
+                    if expected[i] <= best / gamma {
                         cut_short = true;
                         break;
                     }
@@ -250,13 +244,12 @@ pub(crate) fn gamma_threshold_search(
                     return Err(MapperError::NanDelta { op });
                 }
                 consumed += 1;
-                evaluated[op] = true;
-                expected[op] = delta;
+                expected[i] = delta;
                 if engine.improves(delta) && found.is_none_or(|(_, best)| delta > best) {
                     found = Some((op, delta));
                 }
             }
-            wave.record(wave_ops.len(), consumed);
+            wave.record(wave_pos.len(), consumed);
             if cut_short {
                 break 'pass;
             }

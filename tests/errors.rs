@@ -8,8 +8,13 @@
 //! the chaos harness classifies on the variants, so changes here are
 //! API changes and should be deliberate.
 
-use spmap::model::DeviceId;
-use spmap_core::{MapperError, RemapError, ServiceError, SessionId};
+use std::sync::Arc;
+
+use spmap::graph::gen::{random_sp_graph, SpGenConfig};
+use spmap::model::{DeviceId, Platform};
+use spmap_core::{
+    Algo, MapRequest, MapService, MapperError, RemapError, ServiceConfig, ServiceError, SessionId,
+};
 use spmap_graph::NodeId;
 
 #[test]
@@ -26,6 +31,64 @@ fn mapper_error_display_is_pinned() {
         text.contains("'ga'") && text.contains("not executable"),
         "UnsupportedAlgo display drifted: {text}"
     );
+    let text = MapperError::InvalidGamma.to_string();
+    assert!(
+        text.contains("γ-threshold") && text.contains(">= 1"),
+        "InvalidGamma display drifted: {text}"
+    );
+    let text = MapperError::UnknownDevice {
+        device: DeviceId(99),
+    }
+    .to_string();
+    assert!(
+        text.contains("DeviceId(99)") && text.contains("platform does not have"),
+        "UnknownDevice display drifted: {text}"
+    );
+}
+
+/// A malformed request is a caller's mistake: both service entry points
+/// that run a decomposition search refuse it with a typed
+/// [`MapperError`], never a contained panic (`Internal`).
+#[test]
+fn invalid_requests_get_typed_errors_through_map_and_open_session() {
+    let graph = Arc::new(random_sp_graph(&SpGenConfig::new(16, 3)));
+    let base = MapRequest::new(graph, Arc::new(Platform::reference()));
+    let mut cases: Vec<(MapRequest, MapperError)> = [0.5, f64::NAN, f64::NEG_INFINITY]
+        .into_iter()
+        .map(|gamma| {
+            (
+                base.clone().with_algo(Algo::GammaThreshold { gamma }),
+                MapperError::InvalidGamma,
+            )
+        })
+        .collect();
+    let mut out_of_range = base.clone();
+    out_of_range.limits.devices = Some(vec![DeviceId(0), DeviceId(99)]);
+    cases.push((
+        out_of_range,
+        MapperError::UnknownDevice {
+            device: DeviceId(99),
+        },
+    ));
+
+    let svc = MapService::new(ServiceConfig::default());
+    for (req, want) in &cases {
+        let mapped = svc.map(req).map(|_| ());
+        assert_eq!(mapped, Err(ServiceError::Mapper(*want)), "map: {want:?}");
+        let opened = svc.open_session(req).map(|_| ());
+        assert_eq!(
+            opened,
+            Err(ServiceError::Mapper(*want)),
+            "open_session: {want:?}"
+        );
+    }
+    let stats = svc.stats();
+    assert_eq!(stats.failed, 0, "no refusal may be a contained panic");
+    assert_eq!(stats.sessions_opened, 0);
+    // The boundary value stays legal.
+    assert!(svc
+        .map(&base.with_algo(Algo::GammaThreshold { gamma: 1.0 }))
+        .is_ok());
 }
 
 #[test]
