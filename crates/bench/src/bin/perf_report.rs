@@ -77,14 +77,16 @@
 //!
 //! `--service` switches to the **service tier**: a concurrent-client
 //! closed-loop load against the long-lived `MapService` (bounded
-//! admission + content-addressed artifact cache over the sharded
-//! worker pool).  It asserts bit-identity of every response against the
-//! direct mapper — across cache temperature, client concurrency and
-//! explicit 1/2-shard pools — then measures 1-client and 4-client
-//! phases and reports sustained mappings/sec, p50/p99 latency, cache
-//! hit rate and the per-shard batch histogram.  The CI gate (4 clients
-//! ≥ 1.5x 1 client) is enforced only when the box has ≥ 4 cores;
-//! identity is asserted unconditionally.
+//! admission + response cache over the sharded worker pool).  It
+//! asserts bit-identity of every response against the direct mapper —
+//! across cache temperature, client concurrency and explicit 1/2-shard
+//! pools — then measures 1-client and 4-client phases and reports
+//! sustained mappings/sec, p50/p99 latency, cache hit rate and the
+//! per-shard batch histogram.  The load phases run with the response
+//! cache off: a repeat request would be a hit that dispatches nothing,
+//! and the phases exist to measure concurrent mapping through the
+//! pool.  The CI gate (4 clients ≥ 1.5x 1 client) is enforced only when
+//! the box has ≥ 4 cores; identity is asserted unconditionally.
 //!
 //! `--remap` switches to the **remap tier**: warm-start remapping
 //! sessions against runtime perturbations (device loss/recovery, task
@@ -534,6 +536,19 @@ fn run_service(opts: &Opts) {
     use spmap_par::with_pool;
     use std::sync::Arc;
 
+    // The load phases' services cache nothing (a 1-byte budget): with
+    // the response cache on, every phase request after the warm-up
+    // would be a hit that dispatches no engine work, and the phases
+    // measure concurrent mapping through the sharded pool.
+    let uncached = |max_inflight: usize, max_queued: usize| {
+        Arc::new(MapService::new(ServiceConfig {
+            max_inflight,
+            max_queued,
+            cache_budget_bytes: 1,
+            ..ServiceConfig::default()
+        }))
+    };
+
     let engine_threads = opts.threads.unwrap_or(2).max(2);
     let base = ServiceLoadConfig {
         clients: 1,
@@ -577,14 +592,9 @@ fn run_service(opts: &Opts) {
     println!("identity: cold/warm x {{1,2}}-shard pools bit-identical to the direct mapper");
 
     // Eviction cannot change results either: a cache too small to hold
-    // even one artifact rebuilds every time and still matches.
+    // even one response maps every time and still matches.
     {
-        let service = Arc::new(MapService::new(ServiceConfig {
-            max_inflight: 1,
-            max_queued: 0,
-            cache_budget_bytes: 1,
-            ..ServiceConfig::default()
-        }));
+        let service = uncached(1, 0);
         for (i, req) in requests.iter().enumerate() {
             let resp = service.map(req).expect("eviction run admitted");
             assert_identical(
@@ -608,7 +618,7 @@ fn run_service(opts: &Opts) {
             requests_per_client: total_requests / clients,
             ..base
         };
-        let service = service_for_load(clients);
+        let service = uncached(clients, clients);
         let cold = warm_up(&service, &requests, &references);
         if clients == 1 {
             cold_seconds = cold;
@@ -650,11 +660,7 @@ fn run_service(opts: &Opts) {
             }),
             ..base
         };
-        let service = Arc::new(MapService::new(ServiceConfig {
-            max_inflight: 2,
-            max_queued: 0,
-            ..ServiceConfig::default()
-        }));
+        let service = uncached(2, 0);
         let _ = warm_up(&service, &requests, &references);
         let report = run_phase(&service, &requests, &references, &cfg);
         let svc = service.stats();
@@ -875,10 +881,10 @@ const REMAP_GATE_MIN_NODES: usize = 506;
 /// `BENCH_remap.json`.
 fn run_remap(opts: &Opts) {
     use spmap_bench::remap_load::{measure_case, RemapCase, RemapMeasurement};
-    use spmap_core::{map_request, AttachEdge, MapRequest, Perturbation};
+    use spmap_core::{map_request, AttachEdge, MapRequest, Perturbation, ResponseCache};
     use spmap_graph::gen::{random_sp_graph, SpGenConfig};
     use spmap_graph::NodeId;
-    use spmap_model::{ArtifactCache, DeviceId};
+    use spmap_model::DeviceId;
     use std::sync::{Arc, Mutex};
 
     let threads = opts.threads.unwrap_or(8);
@@ -914,9 +920,9 @@ fn run_remap(opts: &Opts) {
                 ..MapperConfig::sp_first_fit()
             },
         );
-        // One shared artifact cache per size: every session open inside
-        // the measurement hits the same table build.
-        let cache = Arc::new(Mutex::new(ArtifactCache::new(0)));
+        // One shared response cache per size: every session open inside
+        // the measurement after the first skips the opening search.
+        let cache = Mutex::new(ResponseCache::new(0));
 
         // Probe the initial full map so the lost device is one that
         // actually holds work (losing an idle device is a near-no-op).

@@ -2,8 +2,8 @@
 //! from-scratch fallback — the harness half of `perf_report --remap`.
 //!
 //! For each perturbation kind the harness opens fresh [`RemapSession`]s
-//! from one shared request (sharing one artifact cache so table builds
-//! are paid once), replays an optional untimed *setup* sequence to put
+//! from one shared request (sharing one response cache so the opening
+//! search is paid once), replays an optional untimed *setup* sequence to put
 //! the session in the right state (e.g. a device must be lost before it
 //! can be restored), then times the measured batch twice through
 //! [`RemapSession::remap`] and twice through
@@ -15,11 +15,10 @@
 //! must agree bit for bit (mapping, makespan, history, session key) —
 //! a remap is a pure function of (incumbent, perturbations, config).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use spmap_core::{MapRequest, Perturbation, RemapOutcome, RemapSession};
-use spmap_model::ArtifactCache;
+use spmap_core::{MapRequest, Perturbation, RemapOutcome, RemapSession, ResponseCache};
 
 /// One measured scenario: a perturbation batch, optionally preceded by
 /// untimed setup batches that put the session in the scenario's state.
@@ -69,13 +68,13 @@ impl RemapMeasurement {
 /// two replays bit-identical, and return the faster run.
 fn timed_path(
     req: &MapRequest,
-    cache: &Arc<Mutex<ArtifactCache>>,
+    cache: &Mutex<ResponseCache>,
     case: &RemapCase,
     full: bool,
 ) -> (f64, RemapOutcome) {
     let mut best: Option<(f64, RemapOutcome)> = None;
     for run in 0..2 {
-        let mut s = RemapSession::open(req, Some(Arc::clone(cache))).expect("session opens");
+        let mut s = RemapSession::open(req, Some(cache)).expect("session opens");
         for batch in &case.setup {
             s.remap(batch).expect("setup batch applies");
         }
@@ -120,7 +119,7 @@ fn timed_path(
 /// replay identity asserted (see the module docs).
 pub fn measure_case(
     req: &MapRequest,
-    cache: &Arc<Mutex<ArtifactCache>>,
+    cache: &Mutex<ResponseCache>,
     case: &RemapCase,
 ) -> RemapMeasurement {
     let (warm_seconds, warm) = timed_path(req, cache, case, false);
@@ -141,6 +140,7 @@ mod tests {
     use spmap_graph::gen::{random_sp_graph, SpGenConfig};
     use spmap_graph::{augment, AugmentConfig, NodeId};
     use spmap_model::{DeviceId, Platform};
+    use std::sync::Arc;
 
     fn request(nodes: usize, seed: u64) -> MapRequest {
         let mut g = random_sp_graph(&SpGenConfig::new(nodes, seed));
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn measurement_replays_and_reports_both_paths() {
         let req = request(24, 5);
-        let cache = Arc::new(Mutex::new(ArtifactCache::new(0)));
+        let cache = Mutex::new(ResponseCache::new(0));
         let n = req.graph.node_count() as u32;
         let case = RemapCase {
             kind: "device_lost",

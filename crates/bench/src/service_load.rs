@@ -4,7 +4,7 @@
 //! The harness builds a small zoo of distinct request graphs, spawns
 //! `clients` threads that each drive a closed loop of mapping requests
 //! round-robin over the zoo, and reports sustained throughput,
-//! latency percentiles, artifact-cache hit rate and the shard
+//! latency percentiles, response-cache hit rate and the shard
 //! utilization histogram aggregated from every client's thread-local
 //! [`DispatchStats`].  Timing lives here, *not* in the service (the
 //! service reads no clocks; see `spmap_core::service`).
@@ -19,11 +19,11 @@ use std::time::Instant;
 
 use spmap_core::{
     decomposition_map, EngineConfig, MapRequest, MapResponse, MapService, MapperConfig,
-    MapperResult, ServiceConfig, ServiceError, ServiceStats,
+    MapperResult, ResponseCacheStats, ServiceConfig, ServiceError, ServiceStats,
 };
 use spmap_graph::gen::{random_sp_graph, SpGenConfig};
 use spmap_graph::{augment, AugmentConfig};
-use spmap_model::{ArtifactCacheStats, Platform};
+use spmap_model::Platform;
 use spmap_par::{dispatch_stats, DispatchStats, MAX_SHARDS};
 
 /// One load phase: `clients` threads, each submitting
@@ -119,8 +119,8 @@ pub struct ServiceLoadReport {
     pub p50_ms: f64,
     /// 99th-percentile request latency, milliseconds.
     pub p99_ms: f64,
-    /// Artifact-cache counters *of this phase* (warm-up excluded).
-    pub cache: ArtifactCacheStats,
+    /// Response-cache counters *of this phase* (warm-up excluded).
+    pub cache: ResponseCacheStats,
     /// Pool batches per shard, summed over all clients.
     pub shard_batches: Vec<u64>,
     /// Cross-shard work steals, summed over all clients.
@@ -276,7 +276,7 @@ pub fn run_phase(
         latencies[i.min(latencies.len() - 1)]
     };
     let cache_now = service.stats().cache;
-    let cache = ArtifactCacheStats {
+    let cache = ResponseCacheStats {
         hits: cache_now.hits - cache_base.hits,
         misses: cache_now.misses - cache_base.misses,
         evictions: cache_now.evictions - cache_base.evictions,
@@ -299,7 +299,7 @@ pub fn run_phase(
 }
 
 /// Submit every zoo request once, serially, so later phases run against
-/// a warm artifact cache.  Returns the cold-build seconds and asserts
+/// a warm response cache.  Returns the cold-build seconds and asserts
 /// bit-identity of the cold path too.
 pub fn warm_up(
     service: &Arc<MapService>,

@@ -406,7 +406,7 @@ struct CandidateSim {
 pub enum TablesSource<'g> {
     /// Tables built by and owned by this engine.
     Owned(EvalTables<'g>),
-    /// Tables shared from a longer-lived owner (e.g. a cached
+    /// Tables shared from a longer-lived owner (e.g. a session's
     /// `EvalArtifact`).  Immutable, so sharing cannot perturb results.
     Shared(&'g EvalTables<'g>),
 }
@@ -524,11 +524,11 @@ impl<'g> CandidateBatch<'g> {
         )
     }
 
-    /// Build the engine on *pre-built* shared tables (e.g. from a cached
+    /// Build the engine on *pre-built* shared tables (e.g. a session's
     /// `EvalArtifact`), skipping table construction.  Because the tables
     /// are immutable and every engine input beyond them is per-run, an
     /// engine on shared tables is bit-identical to one that built its
-    /// own — cold and warm cache cannot diverge.
+    /// own.
     ///
     /// # Panics
     ///

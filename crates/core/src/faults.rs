@@ -10,8 +10,9 @@
 //! no-ops in normal builds, armable under the `fault-injection` cargo
 //! feature:
 //!
-//! * [`FaultSite::ArtifactBuild`] — before an [`EvalArtifact`] table
-//!   build (service one-shot path and session fetch path),
+//! * [`FaultSite::ArtifactBuild`] — before an evaluation-table build:
+//!   a one-shot map's response-cache miss, a session open (an
+//!   [`EvalArtifact`]) and a session's rebuild for a patched graph,
 //! * [`FaultSite::CandidateSweep`] — at the head of
 //!   `CandidateBatch::evaluate_ops`, the engine sweep every search
 //!   family drives,
@@ -45,7 +46,8 @@
 /// A named production code point where a fault can be injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultSite {
-    /// An evaluation-table build (cache-miss path), service or session.
+    /// An evaluation-table build (a one-shot cache miss, or a session's
+    /// artifact build).
     ArtifactBuild,
     /// The candidate-engine sweep (`CandidateBatch::evaluate_ops`).
     CandidateSweep,

@@ -40,6 +40,7 @@
 //! `tests/equivalence.rs` plus `docs/PERF.md` carry the proof burden.
 
 pub mod batch;
+pub mod cache;
 pub mod faults;
 pub mod mapper;
 pub mod population;
@@ -53,6 +54,7 @@ pub use batch::{
     BatchStats, CandidateBatch, DeltaOp, EngineConfig, TablesSource, DEFAULT_MEMO_CAPACITY,
     MAX_SCHEDULES,
 };
+pub use cache::{ResponseCache, ResponseCacheStats, DEFAULT_RESPONSE_BUDGET_BYTES};
 pub use faults::{FaultKind, FaultSchedule, FaultSite, INJECTED_PANIC_PREFIX};
 pub use mapper::{
     decomposition_map, decomposition_map_reference, try_decomposition_map,

@@ -286,8 +286,8 @@ pub fn try_decomposition_map(
 }
 
 /// The driver behind [`try_decomposition_map`] and
-/// [`crate::map_request`]: builds the tables, then runs
-/// [`try_decomposition_map_with_tables_on`].
+/// [`crate::map_request`]: builds the tables and the candidate subgraph
+/// set, then runs [`search_subgraphs`].
 pub(crate) fn try_decomposition_map_on(
     graph: &TaskGraph,
     platform: &Platform,
@@ -295,28 +295,29 @@ pub(crate) fn try_decomposition_map_on(
     devices: Option<&[DeviceId]>,
 ) -> Result<MapperResult, MapperError> {
     let tables = EvalTables::with_numbering(graph, platform, cfg.engine.numbering);
-    try_decomposition_map_with_tables_on(&tables, cfg, devices)
+    let subgraphs = build_subgraphs(graph, cfg.strategy);
+    search_subgraphs(&tables, subgraphs, cfg, devices)
 }
 
-/// Decomposition mapping on pre-built evaluation tables (owned, or
-/// shared from an artifact cache — the tables are immutable, so both
-/// give the same bits), optionally restricting the candidate device
+/// Decomposition mapping on pre-built evaluation tables and a pre-built
+/// candidate subgraph set ([`build_subgraphs`] of the tables' graph
+/// under `cfg.strategy`), optionally restricting the candidate device
 /// list (`None` = every platform device).  Restricting devices is exact
 /// — an avoided device contributes no exec, link or area term — and is
 /// how availability-limited requests (device loss) are executed without
-/// platform surgery.
+/// platform surgery.  A session passes a clone of the subgraph set it
+/// keeps, so a graph is decomposed once.
 ///
 /// # Panics
 ///
 /// If `cfg.engine.numbering` disagrees with the numbering the tables
 /// were built under (see [`CandidateBatch::with_shared_tables`]).
-pub(crate) fn try_decomposition_map_with_tables_on<'g>(
+pub(crate) fn search_subgraphs<'g>(
     tables: &'g EvalTables<'g>,
+    subgraphs: Vec<Vec<NodeId>>,
     cfg: &MapperConfig,
     devices: Option<&[DeviceId]>,
 ) -> Result<MapperResult, MapperError> {
-    let graph = tables.graph();
-    let subgraphs = build_subgraphs(graph, cfg.strategy);
     let devices: Vec<DeviceId> = match devices {
         Some(ds) => ds.to_vec(),
         None => tables.platform().device_ids().collect(),

@@ -12,11 +12,11 @@
 //!   honest error for silent latency collapse).  Rejections carry a
 //!   clock-free `retry_hint`: how many completions the service must
 //!   record before a retry could reach an execution slot.
-//! * an **artifact cache** — a content-addressed, byte-budgeted LRU of
-//!   [`EvalArtifact`]s (`spmap_model::artifact`), so a repeat graph +
-//!   platform skips [`EvalTables`](spmap_model::EvalTables) construction
-//!   entirely and shares one immutable build across all concurrent
-//!   requests *and sessions* that need it;
+//! * a **response cache** — a byte-budgeted LRU of whole
+//!   [`MapperResult`]s ([`crate::cache`]), keyed by everything that
+//!   determines a result, so a repeat request skips decomposition,
+//!   table construction and the search; session opens share it with
+//!   one-shot maps;
 //! * a **session registry** — live [`RemapSession`]s opened through
 //!   [`MapService::open_session`], each serialized by its own lock so
 //!   remaps on *distinct* sessions run concurrently while remaps on the
@@ -35,14 +35,22 @@
 //! ## Determinism
 //!
 //! A response is a pure function of its request (and, for remaps, the
-//! session's perturbation history).  The cache can only substitute a
-//! *bit-identical* table build (the content key covers every table
-//! input — see `spmap_model::artifact` on key soundness), and admission
-//! control delays or rejects requests but never alters one.  Cold
-//! cache, warm cache, any shard count, any co-runner mix: same mapping,
-//! same makespan, bit for bit.  The service reads no clocks — even the
-//! overload `retry_hint` is denominated in completions, not time;
-//! latency measurement belongs to the benchmark harness.
+//! session's perturbation history), which is what makes a response
+//! cache sound.  The cache key ([`crate::cache`], "Key soundness")
+//! covers the graph and platform content, every field of the resolved
+//! [`MapperConfig`](crate::MapperConfig) — the engine knobs included,
+//! with the thread count resolved after the runtime fill, because the
+//! γ-search's evaluation and batch counters follow the worker count —
+//! and the device restriction.  A hit therefore replays every
+//! [`MapperResult`] field of the first run bit for bit, except
+//! `dispatch`, which is zero because nothing was dispatched; it reports
+//! `cache_hit: true`.  Only successful results are cached: mapper errors
+//! and contained panics run the full path again on every retry.
+//! Admission control delays or rejects requests but never alters one.
+//! Cold cache, warm cache, any shard count, any co-runner mix: same
+//! mapping, same makespan, bit for bit.  The service reads no clocks —
+//! even the overload `retry_hint` is denominated in completions, not
+//! time; latency measurement belongs to the benchmark harness.
 //!
 //! ## Fault containment
 //!
@@ -75,9 +83,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use spmap_model::{artifact_key, ArtifactCache, ArtifactCacheStats, EvalArtifact, Mapping};
+use spmap_model::Mapping;
 
-use crate::mapper::{try_decomposition_map_with_tables_on, MapperError, MapperResult};
+use crate::cache::{cached, resolve, ResponseCache, ResponseCacheStats};
+use crate::mapper::{try_decomposition_map_on, MapperError, MapperResult};
 use crate::request::MapRequest;
 use crate::runtime::RuntimeConfig;
 use crate::session::{Perturbation, RemapError, RemapOutcome, RemapSession};
@@ -93,8 +102,9 @@ pub struct ServiceConfig {
     /// Maximum requests waiting for an execution slot beyond
     /// `max_inflight`; the next request is rejected, not buffered.
     pub max_queued: usize,
-    /// Byte budget of the artifact cache (`0` selects
-    /// [`spmap_model::DEFAULT_ARTIFACT_BUDGET_BYTES`]).
+    /// Byte budget of the response cache (`0` selects
+    /// [`DEFAULT_RESPONSE_BUDGET_BYTES`](crate::cache::DEFAULT_RESPONSE_BUDGET_BYTES);
+    /// `1` caches nothing, since every response is larger).
     pub cache_budget_bytes: usize,
     /// Typed runtime knobs (threads, backend, shards).  The default
     /// defers every field to the ambient `SPMAP_*` environment;
@@ -204,14 +214,13 @@ impl From<RemapError> for ServiceError {
 pub struct MapResponse {
     /// The mapper's result, bit-identical to a direct
     /// [`decomposition_map`](crate::decomposition_map) call with the
-    /// request's inputs (including the dispatch counters' shard lane).
+    /// request's inputs.  A cache hit reports zero `dispatch` work.
     pub result: MapperResult,
-    /// Whether the evaluation tables came from the artifact cache
-    /// (`true`) or were built — and cached — by this request (`false`).
-    /// Diagnostic only: both paths produce identical results.
+    /// Whether the result came from the response cache (`true`) or was
+    /// mapped — and cached — by this request (`false`).
     pub cache_hit: bool,
-    /// The content key the tables are cached under.
-    pub artifact_key: u128,
+    /// The key the response is cached under.
+    pub cache_key: u128,
 }
 
 /// The response of [`MapService::open_session`]: the session handle and
@@ -222,7 +231,7 @@ pub struct SessionResponse {
     pub id: SessionId,
     /// The initial full map the session's incumbent starts from.
     pub result: MapperResult,
-    /// Whether the opening artifact came from the shared cache.
+    /// Whether the opening map came from the response cache.
     pub cache_hit: bool,
     /// The session's identity key (the artifact key, re-keyed under the
     /// availability mask when the opening request restricted devices).
@@ -278,8 +287,8 @@ pub struct ServiceStats {
     pub remaps_noop: u64,
     /// From-scratch fallback remaps ([`MapService::remap_full`]).
     pub remaps_full: u64,
-    /// Artifact-cache counters (hits, misses, evictions, peaks).
-    pub cache: ArtifactCacheStats,
+    /// Response-cache counters (hits, misses, evictions, peaks).
+    pub cache: ResponseCacheStats,
 }
 
 /// Admission state behind the gate mutex.
@@ -308,7 +317,7 @@ struct Sessions {
 }
 
 /// Recover-and-continue lock discipline for the service's shared
-/// mutexes (gate, session registry, artifact cache): every critical
+/// mutexes (gate, session registry, response cache): every critical
 /// section over them keeps its invariants at every statement
 /// (straight-line counter arithmetic, content-addressed cache ops), so
 /// a poison flag left by a panicking thread carries no information and
@@ -405,7 +414,7 @@ pub struct MapService {
     gate: Mutex<Gate>,
     /// Signalled when a run slot frees up.
     slot_cv: Condvar,
-    cache: Arc<Mutex<ArtifactCache>>,
+    cache: Mutex<ResponseCache>,
     sessions: Mutex<Sessions>,
 }
 
@@ -438,7 +447,7 @@ impl MapService {
                 remaps_full: 0,
             }),
             slot_cv: Condvar::new(),
-            cache: Arc::new(Mutex::new(ArtifactCache::new(cfg.cache_budget_bytes))),
+            cache: Mutex::new(ResponseCache::new(cfg.cache_budget_bytes)),
             sessions: Mutex::new(Sessions {
                 next: 0,
                 live: Vec::new(),
@@ -475,14 +484,16 @@ impl MapService {
 
     /// Open a remapping session: run `request`'s initial full map under
     /// admission control and register the session that owns its result.
-    /// The session shares this service's artifact cache, so sessions
-    /// over the same graph reuse one table build — and a later one-shot
-    /// [`MapService::map`] of that graph hits too.
+    /// The opening map goes through this service's response cache under
+    /// the same key as [`MapService::map`] of `request`: a repeat open
+    /// skips the search, and a later one-shot map of the request hits.
     pub fn open_session(&self, request: &MapRequest) -> Result<SessionResponse, ServiceError> {
         let mut slot = self.admit()?;
         let outcome = contain("open_session", || {
             let session = self
-                .with_runtime_backend(|| RemapSession::open(request, Some(Arc::clone(&self.cache))))
+                .with_runtime_backend(|| {
+                    RemapSession::open_under(request, Some(&self.cache), &self.runtime)
+                })
                 .map_err(ServiceError::from)?;
             let result = session.initial().clone();
             let cache_hit = session.initial_cache_hit();
@@ -716,48 +727,22 @@ impl MapService {
         })
     }
 
-    /// The cached-or-built artifact path plus the mapper run.
+    /// The cached response, or the mapper run that fills it.
     fn run(&self, request: &MapRequest) -> Result<MapResponse, ServiceError> {
-        let mut cfg = request.mapper_config()?;
-        // Precedence: explicit request > service runtime > environment.
-        if cfg.engine.threads.is_none() {
-            cfg.engine.threads = self.runtime.threads;
-        }
-        if cfg.engine.checkpoint_budget_bytes == 0 {
-            cfg.engine.checkpoint_budget_bytes = self.runtime.checkpoint_budget_bytes;
-        }
-        let key = artifact_key(&request.graph, &request.platform, cfg.engine.numbering);
-        let (artifact, cache_hit) = {
-            let hit = lock(&self.cache).lookup(key);
-            match hit {
-                Some(a) => (a, true),
-                None => {
-                    // Build outside the cache lock — table construction
-                    // is the expensive part, and a concurrent request
-                    // for a *different* graph must not wait behind it.
-                    // A racing builder of the same key is resolved by
-                    // `insert`: the first resident build wins and both
-                    // requests share it.
-                    crate::faults::fault_point(crate::faults::FaultSite::ArtifactBuild);
-                    let built = Arc::new(EvalArtifact::build(
-                        Arc::clone(&request.graph),
-                        Arc::clone(&request.platform),
-                        cfg.engine.numbering,
-                    ));
-                    let shared = lock(&self.cache).insert(built);
-                    (shared, false)
-                }
-            }
-        };
-        let result = try_decomposition_map_with_tables_on(
-            artifact.tables(),
-            &cfg,
-            request.limits.devices.as_deref(),
-        )?;
+        let (cfg, key) = resolve(request, &self.runtime)?;
+        let (result, cache_hit) = cached(Some(&self.cache), key, || {
+            crate::faults::fault_point(crate::faults::FaultSite::ArtifactBuild);
+            try_decomposition_map_on(
+                &request.graph,
+                &request.platform,
+                &cfg,
+                request.limits.devices.as_deref(),
+            )
+        })?;
         Ok(MapResponse {
             result,
             cache_hit,
-            artifact_key: key,
+            cache_key: key,
         })
     }
 }

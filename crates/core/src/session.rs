@@ -55,16 +55,15 @@
 use std::sync::{Arc, Mutex};
 
 use spmap_graph::{GraphError, NodeId, Task, TaskGraph};
-use spmap_model::{
-    artifact_key, masked_artifact_key, ArtifactCache, DeviceId, EvalArtifact, Mapping, Platform,
-};
+use spmap_model::{masked_artifact_key, DeviceId, EvalArtifact, Mapping, Platform};
 
 use crate::batch::{BatchStats, CandidateBatch};
+use crate::cache::{cached, resolve, ResponseCache};
 use crate::mapper::{
-    build_subgraphs, drive_search, try_decomposition_map_with_tables_on, MapperConfig, MapperError,
-    MapperResult, OpId,
+    build_subgraphs, drive_search, search_subgraphs, MapperConfig, MapperError, MapperResult, OpId,
 };
 use crate::request::MapRequest;
+use crate::runtime::RuntimeConfig;
 
 /// One runtime event a session reacts to.
 #[derive(Clone, Debug)]
@@ -210,10 +209,13 @@ pub struct RemapOutcome {
     /// `true` for the warm-start path, `false` for the from-scratch
     /// fallback.
     pub warm: bool,
-    /// Whether this remap had to rebuild (or re-fetch) evaluation
-    /// tables because the graph changed.
+    /// Whether this remap had to rebuild evaluation tables because the
+    /// graph changed.
     pub graph_rebuilt: bool,
-    /// Whether a rebuilt artifact came out of the shared cache.
+    /// Always `false`: a remap never answers from the response cache
+    /// (its result depends on the session's history, not only on its
+    /// request) and builds the tables of a patched graph privately.
+    /// Kept so callers that tally hits across outcomes still compile.
     pub cache_hit: bool,
     /// The session's identity key after this remap:
     /// [`masked_artifact_key`] of the artifact key under the current
@@ -244,7 +246,6 @@ pub struct RemapSession {
     artifact: Arc<EvalArtifact>,
     incumbent: Mapping,
     incumbent_makespan: f64,
-    cache: Option<Arc<Mutex<ArtifactCache>>>,
     initial: MapperResult,
     initial_cache_hit: bool,
     remaps: u64,
@@ -252,9 +253,13 @@ pub struct RemapSession {
 
 impl RemapSession {
     /// Open a session by running `req`'s initial full map.  `cache`, if
-    /// given, is shared for artifact lookups across sessions (a service
-    /// passes its own); `req.limits.devices` seeds the availability
-    /// mask (it must include the platform's default device).
+    /// given, is the response cache the opening map is looked up in and
+    /// inserted into, under the same key as a one-shot
+    /// [`MapService::map`](crate::MapService::map) of `req` (a service
+    /// passes its own).  `req.limits.devices` seeds the availability
+    /// mask (it must include the platform's default device).  Either
+    /// way the session builds its own tables and decomposition, which
+    /// its remaps need.
     ///
     /// The request is validated by [`MapRequest::mapper_config`] like a
     /// one-shot map: GA requests cannot open sessions — the warm-start
@@ -263,9 +268,19 @@ impl RemapSession {
     /// out-of-range device is a typed [`MapperError`] too.
     pub fn open(
         req: &MapRequest,
-        cache: Option<Arc<Mutex<ArtifactCache>>>,
+        cache: Option<&Mutex<ResponseCache>>,
     ) -> Result<Self, RemapError> {
-        let cfg = req.mapper_config()?;
+        Self::open_under(req, cache, &RuntimeConfig::default())
+    }
+
+    /// [`Self::open`] with engine knobs the request leaves unset taken
+    /// from `runtime` (a service passes its own).
+    pub(crate) fn open_under(
+        req: &MapRequest,
+        cache: Option<&Mutex<ResponseCache>>,
+        runtime: &RuntimeConfig,
+    ) -> Result<Self, RemapError> {
+        let (cfg, key) = resolve(req, runtime)?;
         let m = req.platform.device_count();
         let available = match &req.limits.devices {
             None => vec![true; m],
@@ -282,16 +297,23 @@ impl RemapSession {
                 mask
             }
         };
-        let (artifact, cache_hit) = fetch_artifact(
-            cache.as_ref(),
+        crate::faults::fault_point(crate::faults::FaultSite::ArtifactBuild);
+        let artifact = Arc::new(EvalArtifact::build(
             Arc::clone(&req.graph),
             Arc::clone(&req.platform),
-            &cfg,
-        );
-        let devices = device_list(&available);
-        let initial =
-            try_decomposition_map_with_tables_on(artifact.tables(), &cfg, Some(&devices))?;
+            cfg.engine.numbering,
+        ));
         let subgraphs = build_subgraphs(&req.graph, cfg.strategy);
+        // The opening map is exactly a one-shot map of `req`, so it
+        // shares that map's cache key.
+        let (initial, cache_hit) = cached(cache, key, || {
+            search_subgraphs(
+                artifact.tables(),
+                subgraphs.clone(),
+                &cfg,
+                req.limits.devices.as_deref(),
+            )
+        })?;
         Ok(Self {
             graph: Arc::clone(&req.graph),
             platform: Arc::clone(&req.platform),
@@ -301,7 +323,6 @@ impl RemapSession {
             artifact,
             incumbent: initial.mapping.clone(),
             incumbent_makespan: initial.makespan,
-            cache,
             initial,
             initial_cache_hit: cache_hit,
             remaps: 0,
@@ -338,7 +359,7 @@ impl RemapSession {
         &self.initial
     }
 
-    /// Whether the opening artifact came from the shared cache.
+    /// Whether the opening map came from the response cache.
     pub fn initial_cache_hit(&self) -> bool {
         self.initial_cache_hit
     }
@@ -395,7 +416,7 @@ impl RemapSession {
         }
         let c = self.compile(perturbations)?;
         let devices = device_list(&c.available);
-        let (artifact, cache_hit) = self.artifact_for(&c);
+        let artifact = self.artifact_for(&c);
         // Clone rather than take: an error mid-search must leave the
         // session state untouched and reusable.
         let subgraphs = if c.graph_changed {
@@ -469,7 +490,7 @@ impl RemapSession {
             noop: false,
             warm,
             graph_rebuilt: c.graph_changed,
-            cache_hit,
+            cache_hit: false,
             session_key: 0, // stamped by `commit_outcome`
             batch,
         };
@@ -535,8 +556,9 @@ impl RemapSession {
     pub fn rebuild(&mut self) -> Result<(), RemapError> {
         self.subgraphs = build_subgraphs(&self.graph, self.cfg.strategy);
         let devices = device_list(&self.available);
-        let result = try_decomposition_map_with_tables_on(
+        let result = search_subgraphs(
             self.artifact.tables(),
+            self.subgraphs.clone(),
             &self.cfg,
             Some(&devices),
         )?;
@@ -546,17 +568,17 @@ impl RemapSession {
     }
 
     /// The artifact serving `c`: the session's own while the graph is
-    /// unchanged, else a (cached) rebuild for the patched graph.
-    fn artifact_for(&self, c: &Compiled) -> (Arc<EvalArtifact>, bool) {
+    /// unchanged, else a private build for the patched graph.
+    fn artifact_for(&self, c: &Compiled) -> Arc<EvalArtifact> {
         if !c.graph_changed {
-            return (Arc::clone(&self.artifact), false);
+            return Arc::clone(&self.artifact);
         }
-        fetch_artifact(
-            self.cache.as_ref(),
+        crate::faults::fault_point(crate::faults::FaultSite::ArtifactBuild);
+        Arc::new(EvalArtifact::build(
             Arc::clone(&c.graph),
             Arc::clone(&self.platform),
-            &self.cfg,
-        )
+            self.cfg.engine.numbering,
+        ))
     }
 
     /// Compile a perturbation batch against the current session state.
@@ -748,49 +770,6 @@ fn device_list(available: &[bool]) -> Vec<DeviceId> {
         .filter(|(_, &a)| a)
         .map(|(i, _)| DeviceId(i as u32))
         .collect()
-}
-
-/// Look up or build the artifact for `(graph, platform, numbering)`,
-/// optionally through a shared cache (the same first-resident-build-wins
-/// discipline as the service path).
-fn fetch_artifact(
-    cache: Option<&Arc<Mutex<ArtifactCache>>>,
-    graph: Arc<TaskGraph>,
-    platform: Arc<Platform>,
-    cfg: &MapperConfig,
-) -> (Arc<EvalArtifact>, bool) {
-    let numbering = cfg.engine.numbering;
-    // Recover-and-continue on cache poison: builds happen outside the
-    // lock, so no panic can leave a half-mutated cache behind
-    // (docs/ROBUSTNESS.md).
-    fn lock_cache(c: &Mutex<ArtifactCache>) -> std::sync::MutexGuard<'_, ArtifactCache> {
-        c.lock().unwrap_or_else(|e| e.into_inner())
-    }
-    match cache {
-        None => {
-            crate::faults::fault_point(crate::faults::FaultSite::ArtifactBuild);
-            (
-                Arc::new(EvalArtifact::build(graph, platform, numbering)),
-                false,
-            )
-        }
-        Some(cache) => {
-            let key = artifact_key(&graph, &platform, numbering);
-            let hit = lock_cache(cache).lookup(key);
-            match hit {
-                Some(a) => (a, true),
-                None => {
-                    // Build outside the cache lock, exactly like the
-                    // service path: a racing builder of the same key is
-                    // resolved by `insert` (first resident build wins).
-                    crate::faults::fault_point(crate::faults::FaultSite::ArtifactBuild);
-                    let built = Arc::new(EvalArtifact::build(graph, platform, numbering));
-                    let shared = lock_cache(cache).insert(built);
-                    (shared, false)
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,36 +1,22 @@
-//! Owned, shareable evaluation artifacts and their content-addressed
-//! cache.
+//! Owned, shareable evaluation artifacts.
 //!
 //! [`EvalTables`] borrows its graph and platform (`EvalTables<'g>`),
 //! which is the right shape for one mapper run on one caller's data —
-//! but a long-lived mapping service wants to *share* the expensive
-//! table build across requests that submit the same graph.  An
+//! but a remapping session keeps its tables alive across many
+//! perturbations, long after the request that opened it returned.  An
 //! [`EvalArtifact`] owns graph, platform and tables together behind an
-//! `Arc`, so any number of concurrent requests can evaluate against one
-//! immutable build.
+//! `Arc`, so the tables can outlive the borrow that built them and be
+//! read from any thread.
 //!
-//! ## Cache-key soundness
+//! ## Artifact keys
 //!
-//! Artifacts are addressed by [`artifact_key`], which chains
-//! [`graph_fingerprint`] and [`platform_fingerprint`] (both covering
-//! exactly the inputs `EvalTables` reads — task attributes, edge lists
-//! in semantic order, device specs, the link table) with the
-//! [`Numbering`] the tables were laid out under.  Everything that can
-//! change a table entry changes the key; names, which never reach the
-//! evaluator, do not.  A 128-bit collision (birthday bound ≈ `k²/2^129`
-//! over `k` distinct graphs) would reuse a wrong-but-deterministic
-//! table — the same trade the mapping memo already makes.
-//!
-//! ## Eviction
-//!
-//! [`ArtifactCache`] is a byte-budgeted LRU in the mold of the engine's
-//! `BoundedMemo`: entries carry a monotone use stamp and eviction drops
-//! the stalest entries until the budget holds (always keeping the entry
-//! just inserted, so a single oversized artifact still serves its
-//! request).  Storage is a plain `Vec` scanned linearly — the cache
-//! holds at most a few dozen distinct (graph, platform) builds, the
-//! `u128` key compare is trivial next to a table build, and a `Vec`
-//! keeps iteration deterministic without hash-order pragmas.
+//! [`artifact_key`] chains [`graph_fingerprint`] and
+//! [`platform_fingerprint`] (both covering exactly the inputs
+//! `EvalTables` reads — task attributes, edge lists in semantic order,
+//! device specs, the link table) with the [`Numbering`] the tables were
+//! laid out under.  Everything that can change a table entry changes
+//! the key; names, which never reach the evaluator, do not.  Sessions
+//! derive their identity from it ([`masked_artifact_key`]).
 
 use std::sync::Arc;
 
@@ -146,151 +132,10 @@ impl EvalArtifact {
         &self.platform
     }
 
-    /// The content key this artifact is cached under.
+    /// The artifact's content key ([`artifact_key`]).
     #[inline]
     pub fn key(&self) -> u128 {
         self.key
-    }
-
-    /// Approximate heap footprint (tables plus graph/platform payload),
-    /// the unit of the cache budget.
-    pub fn approx_bytes(&self) -> usize {
-        let graph_bytes = self.graph.node_count() * std::mem::size_of::<spmap_graph::Task>()
-            + self.graph.edge_count() * (std::mem::size_of::<spmap_graph::Edge>() + 8);
-        let platform_bytes = self.platform.device_count() * 160;
-        self.tables.table_bytes() + graph_bytes + platform_bytes
-    }
-}
-
-/// Counters of one [`ArtifactCache`]'s lifetime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ArtifactCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that missed (the caller builds and inserts).
-    pub misses: u64,
-    /// Artifacts evicted to hold the byte budget.
-    pub evictions: u64,
-    /// High-water mark of resident bytes.
-    pub peak_bytes: usize,
-    /// High-water mark of resident artifacts.
-    pub peak_entries: usize,
-}
-
-struct CacheEntry {
-    key: u128,
-    artifact: Arc<EvalArtifact>,
-    /// Monotone last-use stamp (the LRU order).
-    stamp: u64,
-    bytes: usize,
-}
-
-/// A byte-budgeted, content-addressed LRU of [`EvalArtifact`]s.  Not
-/// internally synchronized — the service wraps it in a `Mutex` and
-/// drops the lock while building a missing artifact.
-pub struct ArtifactCache {
-    entries: Vec<CacheEntry>,
-    clock: u64,
-    budget_bytes: usize,
-    cur_bytes: usize,
-    stats: ArtifactCacheStats,
-}
-
-/// Default artifact-cache budget: enough for dozens of mid-size builds
-/// while bounding a service's steady-state footprint.
-pub const DEFAULT_ARTIFACT_BUDGET_BYTES: usize = 64 << 20;
-
-impl ArtifactCache {
-    /// An empty cache holding at most ~`budget_bytes` of artifacts
-    /// (`0` selects [`DEFAULT_ARTIFACT_BUDGET_BYTES`]).
-    pub fn new(budget_bytes: usize) -> Self {
-        Self {
-            entries: Vec::new(),
-            clock: 0,
-            budget_bytes: if budget_bytes == 0 {
-                DEFAULT_ARTIFACT_BUDGET_BYTES
-            } else {
-                budget_bytes
-            },
-            cur_bytes: 0,
-            stats: ArtifactCacheStats::default(),
-        }
-    }
-
-    /// The artifact cached under `key`, refreshing its LRU stamp.
-    pub fn lookup(&mut self, key: u128) -> Option<Arc<EvalArtifact>> {
-        self.clock += 1;
-        let clock = self.clock;
-        match self.entries.iter_mut().find(|e| e.key == key) {
-            Some(e) => {
-                e.stamp = clock;
-                self.stats.hits += 1;
-                Some(Arc::clone(&e.artifact))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Insert `artifact` under its own key, evicting
-    /// least-recently-used entries until the budget holds (the new
-    /// entry itself is never evicted).  A concurrent builder may have
-    /// inserted the same key while this caller built without the lock;
-    /// the existing entry wins so every holder shares one build.
-    pub fn insert(&mut self, artifact: Arc<EvalArtifact>) -> Arc<EvalArtifact> {
-        self.clock += 1;
-        let key = artifact.key();
-        if let Some(e) = self.entries.iter_mut().find(|e| e.key == key) {
-            e.stamp = self.clock;
-            return Arc::clone(&e.artifact);
-        }
-        let bytes = artifact.approx_bytes();
-        self.entries.push(CacheEntry {
-            key,
-            artifact: Arc::clone(&artifact),
-            stamp: self.clock,
-            bytes,
-        });
-        self.cur_bytes += bytes;
-        while self.cur_bytes > self.budget_bytes && self.entries.len() > 1 {
-            // Evict the stalest entry; stamps are unique, so the
-            // minimum is unambiguous and scan order cannot matter.
-            let oldest = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("entries is non-empty");
-            let evicted = self.entries.swap_remove(oldest);
-            self.cur_bytes -= evicted.bytes;
-            self.stats.evictions += 1;
-        }
-        self.stats.peak_bytes = self.stats.peak_bytes.max(self.cur_bytes);
-        self.stats.peak_entries = self.stats.peak_entries.max(self.entries.len());
-        artifact
-    }
-
-    /// Resident artifact count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Resident bytes.
-    pub fn resident_bytes(&self) -> usize {
-        self.cur_bytes
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> ArtifactCacheStats {
-        self.stats
     }
 }
 
@@ -356,59 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_and_refreshes_lru() {
-        let platform = Arc::new(Platform::reference());
-        let mut cache = ArtifactCache::new(usize::MAX);
-        let a = Arc::new(EvalArtifact::build(
-            chain_graph(6, 1.0),
-            Arc::clone(&platform),
-            Numbering::PopOrder,
-        ));
-        assert!(cache.lookup(a.key()).is_none());
-        cache.insert(Arc::clone(&a));
-        let got = cache.lookup(a.key()).expect("cached");
-        assert!(Arc::ptr_eq(&got, &a), "one shared build");
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn cache_evicts_stalest_under_budget_but_keeps_newest() {
-        let platform = Arc::new(Platform::reference());
-        let arts: Vec<Arc<EvalArtifact>> = (0..4)
-            .map(|i| {
-                Arc::new(EvalArtifact::build(
-                    chain_graph(6 + i, 1.0),
-                    Arc::clone(&platform),
-                    Numbering::PopOrder,
-                ))
-            })
-            .collect();
-        // Budget of one artifact: every insert evicts the previous one.
-        let mut cache = ArtifactCache::new(arts[0].approx_bytes());
-        for a in &arts {
-            cache.insert(Arc::clone(a));
-            assert_eq!(cache.len(), 1, "budget holds exactly the newest");
-            assert!(cache.lookup(a.key()).is_some());
-        }
-        assert_eq!(cache.stats().evictions, 3);
-        assert!(cache.lookup(arts[0].key()).is_none(), "stalest evicted");
-
-        // Roomier budget: the LRU victim is the *unused* entry.
-        let mut cache = ArtifactCache::new(3 * arts[3].approx_bytes());
-        for a in arts.iter().take(3) {
-            cache.insert(Arc::clone(a));
-        }
-        cache.lookup(arts[0].key());
-        cache.lookup(arts[1].key());
-        cache.insert(Arc::clone(&arts[3])); // evicts arts[2], the stalest
-        assert!(cache.lookup(arts[2].key()).is_none());
-        assert!(cache.lookup(arts[0].key()).is_some());
-        assert!(cache.lookup(arts[1].key()).is_some());
-        assert!(cache.lookup(arts[3].key()).is_some());
-    }
-
-    #[test]
     fn masked_key_is_identity_on_full_mask_and_injective_per_mask() {
         let base = artifact_key(
             &chain_graph(6, 1.0),
@@ -427,25 +219,5 @@ mod tests {
             assert!(!seen.contains(&k), "mask {mask:#b} collided");
             seen.push(k);
         }
-    }
-
-    #[test]
-    fn insert_race_keeps_the_first_build() {
-        let platform = Arc::new(Platform::reference());
-        let graph = chain_graph(6, 1.0);
-        let a = Arc::new(EvalArtifact::build(
-            Arc::clone(&graph),
-            Arc::clone(&platform),
-            Numbering::PopOrder,
-        ));
-        let b = Arc::new(EvalArtifact::build(graph, platform, Numbering::PopOrder));
-        let mut cache = ArtifactCache::new(usize::MAX);
-        cache.insert(Arc::clone(&a));
-        let winner = cache.insert(Arc::clone(&b));
-        assert!(
-            Arc::ptr_eq(&winner, &a),
-            "the resident build wins a double insert"
-        );
-        assert_eq!(cache.len(), 1);
     }
 }

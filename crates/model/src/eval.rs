@@ -393,28 +393,6 @@ impl<'g> EvalTables<'g> {
         self.numbering
     }
 
-    /// Approximate heap footprint of the tables in bytes — the budget
-    /// currency of the artifact cache (`spmap_model::ArtifactCache`).
-    /// An estimate from element counts, not an allocator measurement;
-    /// it only needs to rank artifacts proportionally to their size.
-    pub fn table_bytes(&self) -> usize {
-        let n = self.node_count();
-        let m = self.device_count();
-        let e = self.out_dst.len();
-        let f64s = n * m          // exec
-            + 5 * n               // min_exec, min_span, down_min, up_min, up_min_int
-            + e                   // out_bytes
-            + n                   // area
-            + 2 * m               // fill, area_cap
-            + 2 * m * m; // link_lat, link_bw
-        let u32s = 2 * n          // perm, ext_of
-            + (n + 1)             // out_start
-            + e                   // out_dst
-            + n                   // indeg_init
-            + 2 * n; // bfs pop order + ranks (OrderTables)
-        f64s * std::mem::size_of::<f64>() + u32s * std::mem::size_of::<u32>() + m
-    }
-
     /// Internal array index of task `n` under this table's numbering.
     #[inline]
     pub fn internal_index(&self, n: NodeId) -> usize {

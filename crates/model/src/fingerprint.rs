@@ -52,36 +52,48 @@ fn mix64(mut z: u64) -> u64 {
 /// (whose order-freeness is the point for *mappings*), structural
 /// content — task attributes, edge lists, link tables — is
 /// position-dependent, so each word is chained through both lanes.
-/// Not cryptographic; used as a cache key where a collision costs a
-/// wrong-but-deterministic table reuse, with the same ≈ `k²/2^129`
-/// birthday bound as the mapping memo.
-struct ContentHash {
+/// Not cryptographic; used for cache keys, where a collision costs a
+/// wrong-but-deterministic reuse, with the same ≈ `k²/2^129` birthday
+/// bound as the mapping memo.
+pub struct ContentHash {
     lo: u64,
     hi: u64,
 }
 
 impl ContentHash {
-    fn new(domain: u64) -> Self {
+    /// A fresh hash in its own `domain`, so hashes of different kinds
+    /// of content never share a starting state.
+    pub fn new(domain: u64) -> Self {
         Self {
             lo: mix64(domain ^ 0x9E37_79B9_7F4A_7C15),
             hi: mix64(domain ^ 0xD1B5_4A32_D192_ED03),
         }
     }
 
+    /// Chain one 64-bit word.
     #[inline]
-    fn absorb(&mut self, word: u64) {
+    pub fn absorb(&mut self, word: u64) {
         self.lo = mix64(self.lo ^ word);
         self.hi = mix64(self.hi.wrapping_add(mix64(word ^ 0xA076_1D64_78BD_642F)));
     }
 
+    /// Chain the bit pattern of `x`.
     #[inline]
-    fn absorb_f64(&mut self, x: f64) {
+    pub fn absorb_f64(&mut self, x: f64) {
         // Bit pattern, not value: `-0.0` ≠ `0.0` and every NaN payload
         // is distinct.  Conservative — distinct bits never collapse.
         self.absorb(x.to_bits());
     }
 
-    fn finish(self) -> u128 {
+    /// Chain both halves of a 128-bit value (another fingerprint).
+    #[inline]
+    pub fn absorb_u128(&mut self, x: u128) {
+        self.absorb(x as u64);
+        self.absorb((x >> 64) as u64);
+    }
+
+    /// The 128-bit hash of everything absorbed so far.
+    pub fn finish(self) -> u128 {
         ((self.hi as u128) << 64) | self.lo as u128
     }
 }

@@ -33,15 +33,12 @@ mod multi;
 pub mod platform;
 pub mod schedule;
 
-pub use artifact::{
-    artifact_key, masked_artifact_key, ArtifactCache, ArtifactCacheStats, EvalArtifact,
-    DEFAULT_ARTIFACT_BUDGET_BYTES,
-};
+pub use artifact::{artifact_key, masked_artifact_key, EvalArtifact};
 pub use eval::{
     relative_improvement, BfsCheckpoints, CheckpointSet, EvalScratch, EvalStats, EvalTables,
     Evaluator, Numbering, ScheduleCheckpoints, WindowSim, DEFAULT_CHECKPOINT_BUDGET_BYTES,
 };
-pub use fingerprint::{graph_fingerprint, platform_fingerprint, MappingFingerprint};
+pub use fingerprint::{graph_fingerprint, platform_fingerprint, ContentHash, MappingFingerprint};
 pub use gantt::{render_gantt, write_gantt};
 pub use mapping::Mapping;
 pub use platform::{Device, DeviceId, DeviceKind, DeviceSpec, Link, Platform};

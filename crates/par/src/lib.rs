@@ -706,7 +706,11 @@ mod tests {
         let mut states = WorkerStates::new(4, |_| ());
         let items: Vec<u32> = (0..64).collect();
         let ids = par_map_with_threads(4, &mut states, &items, |_, _, _| {
-            std::hint::black_box((0..100_000u64).fold(0u64, |a, b| a.wrapping_add(b)));
+            // The accumulator goes through `black_box` at every step:
+            // wrapping only the result lets the optimizer replace the
+            // loop by its closed form, and the caller then drains every
+            // item before a worker wakes.
+            (0..100_000u64).fold(0u64, |a, b| std::hint::black_box(a.wrapping_add(b)));
             std::thread::current().id()
         });
         assert!(ids.iter().any(|&id| id != me), "expected a spawned worker");

@@ -145,6 +145,10 @@ fn injected_panics_surface_as_typed_internal_errors() {
                         other => panic!("{tag}: expected Internal, got {other:?}"),
                     }
                     let resp = service.map(&req).expect("service survives the panic");
+                    assert!(
+                        !resp.cache_hit,
+                        "{tag}: a contained panic must not be cached"
+                    );
                     assert_identical(&tag, &resp.result, &want);
                     let stats = service.stats();
                     assert_eq!(stats.failed, 1, "{tag}");

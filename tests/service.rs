@@ -7,7 +7,7 @@
 //! pools of every shard count (explicit 1, explicit 2, and the
 //! `SPMAP_SHARDS` auto default) under both dispatch backends, and every
 //! result must be bit-identical to its serial reference.  The service
-//! half pins the artifact cache (cold vs warm vs evicting — identical
+//! half pins the response cache (cold vs warm vs evicting — identical
 //! results) and the admission gate's invariants (`peak_inflight` never
 //! exceeds the bound; zero-queue services reject instead of buffering).
 
@@ -216,7 +216,7 @@ fn artifact_cache_temperature_cannot_change_results() {
         let evicting = starved.map(req).expect("admitted");
         assert!(!cold.cache_hit, "first sight of graph {i} must build");
         assert!(warm.cache_hit, "second sight of graph {i} must hit");
-        assert_eq!(cold.artifact_key, warm.artifact_key);
+        assert_eq!(cold.cache_key, warm.cache_key);
         assert_mapper_identical(&format!("cold {i}"), &cold.result, &references[i]);
         assert_mapper_identical(&format!("warm {i}"), &warm.result, &references[i]);
         assert_mapper_identical(&format!("evicting {i}"), &evicting.result, &references[i]);
@@ -577,4 +577,192 @@ fn close_session_racing_inflight_remap_has_exactly_two_outcomes() {
         "accounting balances: a typed UnknownSession refusal is still a \
          completed request"
     );
+}
+
+/// A request that differs from a cached one in any field that can change
+/// its result misses; the same content in fresh `Arc`s hits.
+#[test]
+fn response_cache_key_separates_every_result_relevant_field() {
+    use spmap::graph::NodeId;
+    use spmap_core::{Algo, CostModel, SubgraphStrategy};
+
+    let platform = Arc::new(Platform::reference());
+    let base = MapRequest::from_mapper_config(
+        Arc::new(graph_case(4)),
+        Arc::clone(&platform),
+        &mapper_cfg(1),
+    );
+    let mut attr = graph_case(4);
+    attr.task_mut(NodeId(2)).area += 50.0;
+    let mut capped = base.clone();
+    capped.limits.iteration_cap = Some(2);
+    let mut restricted = base.clone();
+    restricted.limits.devices = Some(vec![DeviceId(0), DeviceId(2)]);
+    let mut threads = base.clone();
+    threads.limits.engine.threads = Some(2);
+    let variants = [
+        (
+            "task attribute",
+            MapRequest {
+                graph: Arc::new(attr),
+                ..base.clone()
+            },
+        ),
+        (
+            "platform",
+            MapRequest {
+                platform: Arc::new(Platform::cpu_only()),
+                ..base.clone()
+            },
+        ),
+        ("algo", base.clone().with_algo(Algo::Exhaustive)),
+        (
+            "gamma",
+            base.clone().with_algo(Algo::GammaThreshold { gamma: 1.5 }),
+        ),
+        (
+            "strategy",
+            MapRequest {
+                strategy: SubgraphStrategy::SingleNode,
+                ..base.clone()
+            },
+        ),
+        (
+            "cost model",
+            MapRequest {
+                cost_model: CostModel::Report {
+                    schedules: 2,
+                    seed: 3,
+                },
+                ..base.clone()
+            },
+        ),
+        ("iteration cap", capped),
+        ("devices", restricted),
+        ("threads", threads),
+    ];
+
+    let service = MapService::new(ServiceConfig::default());
+    let first = service.map(&base).expect("base maps");
+    assert!(!first.cache_hit);
+    for (what, req) in &variants {
+        let resp = service.map(req).expect("variant maps");
+        assert!(!resp.cache_hit, "changing the {what} must miss");
+        assert_ne!(resp.cache_key, first.cache_key, "{what}");
+    }
+    let fresh = MapRequest::from_mapper_config(
+        Arc::new(graph_case(4)),
+        Arc::new(Platform::reference()),
+        &mapper_cfg(1),
+    );
+    let again = service.map(&fresh).expect("fresh arcs map");
+    assert!(again.cache_hit, "equal content in fresh Arcs must hit");
+    assert_eq!(again.cache_key, first.cache_key);
+    let stats = service.stats();
+    assert_eq!(stats.cache.hits, 1);
+    assert_eq!(stats.cache.misses, 1 + variants.len() as u64);
+}
+
+/// A hit replays every field of a direct `map_request` — mapping,
+/// makespan, history, iterations, evaluations and decision counters —
+/// except dispatch, which is zero because a hit dispatches nothing.
+#[test]
+fn response_cache_hits_replay_a_direct_map_request() {
+    use spmap_core::{map_request, Algo, DispatchStats};
+
+    let platform = Arc::new(Platform::reference());
+    let service = MapService::new(ServiceConfig::default());
+    for case in 0..4u64 {
+        for threads in [1usize, 2] {
+            let mut req = MapRequest::from_mapper_config(
+                Arc::new(graph_case(case)),
+                Arc::clone(&platform),
+                &mapper_cfg(threads),
+            );
+            if case % 2 == 1 {
+                req = req.with_algo(Algo::Exhaustive);
+            }
+            let tag = format!("case {case}, {threads} threads");
+            let direct = map_request(&req).expect("direct maps");
+            let cold = service.map(&req).expect("cold maps");
+            let hot = service.map(&req).expect("hot maps");
+            assert!(!cold.cache_hit && hot.cache_hit, "{tag}");
+            assert_eq!(hot.result.mapping, direct.mapping, "{tag}");
+            assert_eq!(
+                hot.result.makespan.to_bits(),
+                direct.makespan.to_bits(),
+                "{tag}"
+            );
+            assert_eq!(
+                hot.result.cpu_only_makespan.to_bits(),
+                direct.cpu_only_makespan.to_bits(),
+                "{tag}"
+            );
+            assert_eq!(hot.result.history, direct.history, "{tag}");
+            assert_eq!(hot.result.iterations, direct.iterations, "{tag}");
+            assert_eq!(hot.result.evaluations, direct.evaluations, "{tag}");
+            assert_eq!(hot.result.batch, direct.batch, "{tag}");
+            assert_eq!(hot.result.subgraph_count, direct.subgraph_count, "{tag}");
+            assert_eq!(
+                hot.result.checkpoint_peak_bytes, direct.checkpoint_peak_bytes,
+                "{tag}"
+            );
+            assert_eq!(hot.result.dispatch, DispatchStats::default(), "{tag}");
+        }
+    }
+}
+
+/// Typed refusals are never cached: each retry runs (and refuses)
+/// again, and the cache stays empty.
+#[test]
+fn response_cache_never_keeps_errors() {
+    use spmap::graph::{GraphBuilder, Task};
+    use spmap_core::{Algo, GaParams, MapperError};
+
+    let platform = Arc::new(Platform::reference());
+    let base = MapRequest::from_mapper_config(
+        Arc::new(graph_case(2)),
+        Arc::clone(&platform),
+        &mapper_cfg(1),
+    );
+    let mut b = GraphBuilder::new();
+    b.add_task(Task {
+        complexity: f64::INFINITY,
+        data_points: 1e7,
+        parallelizability: 0.5,
+        streamability: 1.0,
+        area: 10.0,
+        ..Task::default()
+    });
+    let nan = MapRequest::from_mapper_config(
+        Arc::new(b.build().expect("one task")),
+        Arc::clone(&platform),
+        &MapperConfig::single_node(),
+    );
+    let service = MapService::new(ServiceConfig::default());
+    for _ in 0..2 {
+        assert!(matches!(
+            service.map(&base.clone().with_algo(Algo::Ga(GaParams::default()))),
+            Err(ServiceError::Mapper(MapperError::UnsupportedAlgo { .. }))
+        ));
+        assert!(matches!(
+            service.map(&base.clone().with_algo(Algo::GammaThreshold { gamma: 0.5 })),
+            Err(ServiceError::Mapper(MapperError::InvalidGamma))
+        ));
+        assert!(matches!(
+            service.map(&nan),
+            Err(ServiceError::Mapper(MapperError::NanDelta { .. }))
+        ));
+    }
+    let stats = service.stats();
+    assert_eq!(
+        stats.cache.hits, 0,
+        "no refusal was answered from the cache"
+    );
+    assert_eq!(
+        stats.cache.misses, 2,
+        "the NaN request looked up and missed twice"
+    );
+    assert_eq!(stats.cache.peak_entries, 0, "nothing was ever kept");
+    assert_eq!(stats.completed, 6);
 }
