@@ -57,7 +57,6 @@ mod tests {
             parallelizability: 1.0,
             streamability: 1.0,
             area: 160.0,
-            ..Task::default()
         }
     }
 

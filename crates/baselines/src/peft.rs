@@ -96,13 +96,13 @@ mod tests {
         let oct = optimistic_cost_table(&g, &p, &ct);
         let m = p.device_count();
         // OCT(0, d) = min over w of exec(1, w) + [w != d]·c̄(0-1).
-        for d in 0..m {
+        for (d, &oct_d) in oct.iter().enumerate().take(m) {
             let mut expect = f64::INFINITY;
             for w in 0..m {
                 let comm = if w == d { 0.0 } else { ct.mean_comm[0] };
                 expect = expect.min(ct.exec(NodeId(1), DeviceId(w as u32)) + comm);
             }
-            assert!((oct[d] - expect).abs() < 1e-12);
+            assert!((oct_d - expect).abs() < 1e-12);
         }
     }
 

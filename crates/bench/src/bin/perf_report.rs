@@ -75,19 +75,6 @@
 //! checkpoint bytes, gated against the 32 MiB per-trail budget.
 //! `--xl --quick` keeps only the first size — the CI smoke.
 //!
-//! `--service` switches to the **service tier**: a concurrent-client
-//! closed-loop load against the long-lived `MapService` (bounded
-//! admission + response cache over the sharded worker pool).  It
-//! asserts bit-identity of every response against the direct mapper —
-//! across cache temperature, client concurrency and explicit 1/2-shard
-//! pools — then measures 1-client and 4-client phases and reports
-//! sustained mappings/sec, p50/p99 latency, cache hit rate and the
-//! per-shard batch histogram.  The load phases run with the response
-//! cache off: a repeat request would be a hit that dispatches nothing,
-//! and the phases exist to measure concurrent mapping through the
-//! pool.  The CI gate (4 clients ≥ 1.5x 1 client) is enforced only when
-//! the box has ≥ 4 cores; identity is asserted unconditionally.
-//!
 //! `--remap` switches to the **remap tier**: warm-start remapping
 //! sessions against runtime perturbations (device loss/recovery, task
 //! arrival/completion, attribute drift) on 506/2048-node layered DAGs
@@ -111,20 +98,21 @@
 //! smoke.
 //!
 //! Each mode writes its own report file — `BENCH_mapper.json`
-//! (standard), `BENCH_mapper_xl.json` (`--xl`), `BENCH_service.json`
-//! (`--service`), `BENCH_remap.json` (`--remap`), `BENCH_chaos.json`
-//! (`--chaos`) — so CI cells can upload all of them without
-//! clobbering; `--out <path>` overrides the destination.
+//! (standard), `BENCH_mapper_xl.json` (`--xl`), `BENCH_remap.json`
+//! (`--remap`), `BENCH_chaos.json` (`--chaos`) — so CI cells can
+//! upload all of them without clobbering; `--out <path>` overrides the
+//! destination.  Service latency and throughput are measured by the
+//! `perfbench/` benchmark (see `perfbench/README.md`), not here.
 //!
 //! Usage: `cargo run --release -p spmap-bench --bin perf_report
-//!         [--quick] [--full] [--ga-only] [--xl] [--service] [--remap]
-//!         [--chaos] [--threads 8] [--seed 2025] [--report-schedules 4]
+//!         [--quick] [--full] [--ga-only] [--xl] [--remap] [--chaos]
+//!         [--threads 8] [--seed 2025] [--report-schedules 4]
 //!         [--sizes a,b,..] [--out <path>]`
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use spmap_bench::cli::Opts;
+use spmap_bench::report::{Json, Row};
 use spmap_core::EvalOrder;
 use spmap_core::{
     decomposition_map, decomposition_map_reference, CostModel, EngineConfig, MapperConfig,
@@ -145,9 +133,9 @@ const GA_GENERATIONS_QUICK: usize = 250;
 
 /// Write the mode's JSON report to its default file or the `--out`
 /// override.
-fn write_report(opts: &Opts, default_name: &str, json: &str) {
+fn write_report(opts: &Opts, default_name: &str, report: &Row) {
     let path = opts.out.as_deref().unwrap_or(default_name);
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("\nwrote {path}");
 }
 
@@ -440,318 +428,59 @@ fn run_xl(opts: &Opts) {
     );
 
     // ---- machine-readable report ----
-    let mut json = String::from("{\n  \"benchmark\": \"xl_scale_tier\",\n");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"quick\": {},", opts.quick);
-    let _ = writeln!(json, "  \"seed\": {},", opts.seed);
-    let _ = writeln!(json, "  \"checkpoint_budget_bytes\": {budget},");
-    let _ = writeln!(json, "  \"kernel_gate_ratio_max\": {XL_KERNEL_GATE_RATIO},");
-    let _ = writeln!(json, "  \"baseline\": {{");
-    let _ = writeln!(json, "    \"nodes\": {},", baseline.nodes);
-    let _ = writeln!(json, "    \"edges\": {},", baseline.edges);
-    let _ = writeln!(
-        json,
-        "    \"kernel_ns_per_position\": {:.2},",
-        baseline.ns_per_position
-    );
-    let _ = writeln!(
-        json,
-        "    \"checkpoint_bytes\": {},",
-        baseline.checkpoint_bytes
-    );
-    let _ = writeln!(json, "    \"snapshot_every\": {}", baseline.snapshot_every);
-    let _ = writeln!(json, "  }},");
-    json.push_str("  \"xl_runs\": [\n");
-    for (i, (k, m)) in rows.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"nodes\": {},", k.nodes);
-        let _ = writeln!(json, "      \"edges\": {},", k.edges);
-        let _ = writeln!(
-            json,
-            "      \"kernel_ns_per_position\": {:.2},",
-            k.ns_per_position
-        );
-        let _ = writeln!(
-            json,
-            "      \"kernel_vs_baseline\": {:.3},",
-            k.ns_per_position / baseline.ns_per_position
-        );
-        let _ = writeln!(json, "      \"checkpoint_bytes\": {},", k.checkpoint_bytes);
-        let _ = writeln!(json, "      \"snapshot_every\": {},", k.snapshot_every);
-        let _ = writeln!(json, "      \"mapper_seconds\": {:.6},", m.seconds);
-        let _ = writeln!(json, "      \"mapper_iterations\": {},", m.iterations);
-        let _ = writeln!(json, "      \"mapper_evaluations\": {},", m.evaluations);
-        let _ = writeln!(
-            json,
-            "      \"mapper_checkpoint_peak_bytes\": {},",
-            m.checkpoint_peak_bytes
-        );
-        let _ = writeln!(
-            json,
-            "      \"mapper_relative_improvement\": {:.6}",
-            m.improvement
-        );
-        let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"ga_xl\": {{");
-    let _ = writeln!(json, "    \"nodes\": {},", ga.nodes);
-    let _ = writeln!(json, "    \"edges\": {},", ga.edges);
-    let _ = writeln!(json, "    \"population\": {XL_GA_POPULATION},");
-    let _ = writeln!(json, "    \"generations\": {XL_GA_GENERATIONS},");
-    let _ = writeln!(json, "    \"seconds\": {:.6},", ga.seconds);
-    let _ = writeln!(json, "    \"evaluations\": {},", ga.evaluations);
-    let _ = writeln!(json, "    \"positions\": {},", ga.positions);
-    let _ = writeln!(
-        json,
-        "    \"checkpoint_peak_bytes\": {}",
-        ga.checkpoint_peak_bytes
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"kernel_gate_nodes\": {},", head.nodes);
-    let _ = writeln!(json, "  \"kernel_vs_baseline\": {ratio:.3}");
-    json.push_str("}\n");
-    write_report(opts, "BENCH_mapper_xl.json", &json);
-}
-
-// ---- the service tier (`--service`) ----
-
-/// Throughput gate of the 4-client phase against the 1-client phase,
-/// enforced on boxes with at least [`SERVICE_GATE_MIN_CORES`] cores:
-/// with per-request engine parallelism held fixed, four concurrent
-/// clients dispatching through distinct pool shards must sustain at
-/// least this multiple of a lone client's throughput.
-const SERVICE_GATE_RATIO: f64 = 1.5;
-const SERVICE_GATE_MIN_CORES: usize = 4;
-
-/// The `--service` entry point: identity checks, 1-client and 4-client
-/// load phases, gate, write `BENCH_service.json`.
-fn run_service(opts: &Opts) {
-    use spmap_bench::service_load::{
-        assert_identical, build_requests, reference_results, run_phase, service_for_load, warm_up,
-        RetryPolicy, ServiceLoadConfig,
-    };
-    use spmap_core::{MapService, ServiceConfig};
-    use spmap_par::pool::Pool;
-    use spmap_par::with_pool;
-    use std::sync::Arc;
-
-    // The load phases' services cache nothing (a 1-byte budget): with
-    // the response cache on, every phase request after the warm-up
-    // would be a hit that dispatches no engine work, and the phases
-    // measure concurrent mapping through the sharded pool.
-    let uncached = |max_inflight: usize, max_queued: usize| {
-        Arc::new(MapService::new(ServiceConfig {
-            max_inflight,
-            max_queued,
-            cache_budget_bytes: 1,
-            ..ServiceConfig::default()
-        }))
-    };
-
-    let engine_threads = opts.threads.unwrap_or(2).max(2);
-    let base = ServiceLoadConfig {
-        clients: 1,
-        requests_per_client: if opts.quick { 8 } else { 24 },
-        distinct_graphs: if opts.quick { 3 } else { 6 },
-        nodes: if opts.quick { 48 } else { 120 },
-        seed: opts.seed,
-        engine_threads,
-        retry: None,
-    };
-    let shards = spmap_par::num_shards();
-    println!(
-        "perf_report --service: MapService load ({} distinct {}-node graphs, \
-         {} engine threads/request, {} pool shards)\n",
-        base.distinct_graphs, base.nodes, engine_threads, shards
-    );
-
-    let requests = build_requests(&base);
-    let references = reference_results(&requests);
-
-    // ---- bit-identity across shard counts, cache temperature and
-    //      concurrency (asserted on every box, gated nowhere) ----
-    // Explicit 1- and 2-shard pools under the pool backend: the shard
-    // layout may move work between threads but never change a mapping.
-    for shard_count in [1usize, 2] {
-        let pool = Arc::new(Pool::with_shards(shard_count));
-        with_pool(&pool, || {
-            spmap_par::with_backend(spmap_par::ParBackend::Pool, || {
-                let service = service_for_load(1);
-                for (i, req) in requests.iter().enumerate() {
-                    let cold = service.map(req).expect("identity run admitted");
-                    let warm = service.map(req).expect("identity run admitted");
-                    assert!(!cold.cache_hit && warm.cache_hit);
-                    let label = format!("{shard_count}-shard pool, graph {i}");
-                    assert_identical(&format!("{label} (cold)"), &cold.result, &references[i]);
-                    assert_identical(&format!("{label} (warm)"), &warm.result, &references[i]);
-                }
-            })
-        });
-    }
-    println!("identity: cold/warm x {{1,2}}-shard pools bit-identical to the direct mapper");
-
-    // Eviction cannot change results either: a cache too small to hold
-    // even one response maps every time and still matches.
-    {
-        let service = uncached(1, 0);
-        for (i, req) in requests.iter().enumerate() {
-            let resp = service.map(req).expect("eviction run admitted");
-            assert_identical(
-                &format!("1-byte-budget cache, graph {i}"),
-                &resp.result,
-                &references[i],
-            );
-        }
-        println!("identity: byte-starved (always-evicting) cache bit-identical as well");
-    }
-
-    // ---- load phases ----
-    let total_requests = 4 * base.requests_per_client;
-    let mut phases = Vec::new();
-    let mut cold_seconds = 0.0;
-    for clients in [1usize, 4] {
-        // Same total request count per phase so the comparison is
-        // work-for-work.
-        let cfg = ServiceLoadConfig {
-            clients,
-            requests_per_client: total_requests / clients,
-            ..base
-        };
-        let service = uncached(clients, clients);
-        let cold = warm_up(&service, &requests, &references);
-        if clients == 1 {
-            cold_seconds = cold;
-        }
-        let report = run_phase(&service, &requests, &references, &cfg);
-        let svc = service.stats();
-        assert_eq!(svc.rejected, 0, "load phases are sized to be admitted");
-        assert!(
-            svc.peak_inflight <= service.max_inflight(),
-            "admission gate exceeded its bound: {} > {}",
-            svc.peak_inflight,
-            service.max_inflight()
-        );
-        println!(
-            "{:>2} clients: {:7.1} maps/s  p50 {:7.2} ms  p99 {:7.2} ms  \
-             cache hit {:5.1}%  shards used {}/{}  steals {}  lock waits {}",
-            report.clients,
-            report.throughput,
-            report.p50_ms,
-            report.p99_ms,
-            100.0 * report.cache_hit_rate(),
-            report.shards_used(),
-            shards,
-            report.steals,
-            report.submission_waits,
-        );
-        phases.push(report);
-    }
-
-    // ---- contended phase: clients outnumber the admission gate and
-    //      survive on the bounded RetryPolicy (completion-denominated
-    //      backoff on `Overloaded::retry_hint`) ----
-    {
-        let cfg = ServiceLoadConfig {
-            clients: 4,
-            requests_per_client: total_requests / 4,
-            retry: Some(RetryPolicy {
-                max_retries: 10_000,
-            }),
-            ..base
-        };
-        let service = uncached(2, 0);
-        let _ = warm_up(&service, &requests, &references);
-        let report = run_phase(&service, &requests, &references, &cfg);
-        let svc = service.stats();
-        assert_eq!(
-            svc.admitted,
-            svc.completed + svc.failed,
-            "admission accounting must balance at quiescence"
-        );
-        assert_eq!(
-            svc.rejected, report.retries,
-            "every overload rejection is one client retry"
-        );
-        println!(
-            "contended (4 clients, 2 slots, 0 queue): {:7.1} maps/s, \
-             {} rejections absorbed by retry",
-            report.throughput, report.retries
-        );
-        phases.push(report);
-    }
-
-    let ratio = phases[1].throughput / phases[0].throughput;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let gate_enforced = cores >= SERVICE_GATE_MIN_CORES;
-    println!(
-        "\nservice headline: 4 clients vs 1 = {ratio:.2}x throughput \
-         ({} cores; gate {} at {SERVICE_GATE_RATIO}x)",
-        cores,
-        if gate_enforced {
-            "enforced"
-        } else {
-            "reported only — needs >= 4 cores"
-        },
-    );
-    // The CI scaling gate: concurrent clients must actually run
-    // concurrently (distinct shards, no submission-lock convoy).  On a
-    // box without the cores to show it, the number is still reported
-    // honestly above but cannot gate.
-    if gate_enforced {
-        assert!(
-            ratio >= SERVICE_GATE_RATIO,
-            "4 concurrent clients only reached {ratio:.2}x of 1 client \
-             (gate {SERVICE_GATE_RATIO}x): the sharded pool is not \
-             delivering concurrent dispatch"
-        );
-    }
-
-    // ---- machine-readable report ----
-    let mut json = String::from("{\n  \"benchmark\": \"map_service\",\n");
-    let _ = writeln!(json, "  \"quick\": {},", opts.quick);
-    let _ = writeln!(json, "  \"seed\": {},", opts.seed);
-    let _ = writeln!(json, "  \"nodes\": {},", base.nodes);
-    let _ = writeln!(json, "  \"distinct_graphs\": {},", base.distinct_graphs);
-    let _ = writeln!(json, "  \"engine_threads\": {engine_threads},");
-    let _ = writeln!(json, "  \"shards\": {shards},");
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(json, "  \"cold_build_seconds\": {cold_seconds:.6},");
-    json.push_str("  \"phases\": [\n");
-    for (i, p) in phases.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"clients\": {},", p.clients);
-        let _ = writeln!(json, "      \"requests\": {},", p.completed);
-        let _ = writeln!(json, "      \"seconds\": {:.6},", p.seconds);
-        let _ = writeln!(json, "      \"throughput_per_sec\": {:.3},", p.throughput);
-        let _ = writeln!(json, "      \"p50_ms\": {:.4},", p.p50_ms);
-        let _ = writeln!(json, "      \"p99_ms\": {:.4},", p.p99_ms);
-        let _ = writeln!(json, "      \"cache_hits\": {},", p.cache.hits);
-        let _ = writeln!(json, "      \"cache_misses\": {},", p.cache.misses);
-        let _ = writeln!(json, "      \"cache_hit_rate\": {:.4},", p.cache_hit_rate());
-        let _ = writeln!(json, "      \"shards_used\": {},", p.shards_used());
-        let used: Vec<String> = p
-            .shard_batches
-            .iter()
-            .take(shards)
-            .map(|b| b.to_string())
-            .collect();
-        let _ = writeln!(json, "      \"shard_batches\": [{}],", used.join(", "));
-        let _ = writeln!(json, "      \"steals\": {},", p.steals);
-        let _ = writeln!(json, "      \"submission_waits\": {},", p.submission_waits);
-        let _ = writeln!(json, "      \"retries\": {}", p.retries);
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < phases.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"throughput_ratio_4v1\": {ratio:.3},");
-    let _ = writeln!(json, "  \"gate_ratio\": {SERVICE_GATE_RATIO},");
-    let _ = writeln!(json, "  \"gate_enforced\": {gate_enforced}");
-    json.push_str("}\n");
-    write_report(opts, "BENCH_service.json", &json);
+    let xl_runs: Vec<Row> = rows
+        .iter()
+        .map(|(k, m)| {
+            Row::new()
+                .with("nodes", k.nodes)
+                .with("edges", k.edges)
+                .fixed("kernel_ns_per_position", k.ns_per_position, 2)
+                .fixed(
+                    "kernel_vs_baseline",
+                    k.ns_per_position / baseline.ns_per_position,
+                    3,
+                )
+                .with("checkpoint_bytes", k.checkpoint_bytes)
+                .with("snapshot_every", k.snapshot_every)
+                .fixed("mapper_seconds", m.seconds, 6)
+                .with("mapper_iterations", m.iterations)
+                .with("mapper_evaluations", m.evaluations)
+                .with("mapper_checkpoint_peak_bytes", m.checkpoint_peak_bytes)
+                .fixed("mapper_relative_improvement", m.improvement, 6)
+        })
+        .collect();
+    let report = Row::new()
+        .with("benchmark", "xl_scale_tier")
+        .with("threads", threads)
+        .with("quick", opts.quick)
+        .with("seed", opts.seed)
+        .with("checkpoint_budget_bytes", budget)
+        .with("kernel_gate_ratio_max", XL_KERNEL_GATE_RATIO)
+        .with(
+            "baseline",
+            Row::new()
+                .with("nodes", baseline.nodes)
+                .with("edges", baseline.edges)
+                .fixed("kernel_ns_per_position", baseline.ns_per_position, 2)
+                .with("checkpoint_bytes", baseline.checkpoint_bytes)
+                .with("snapshot_every", baseline.snapshot_every),
+        )
+        .with("xl_runs", xl_runs)
+        .with(
+            "ga_xl",
+            Row::new()
+                .with("nodes", ga.nodes)
+                .with("edges", ga.edges)
+                .with("population", XL_GA_POPULATION)
+                .with("generations", XL_GA_GENERATIONS)
+                .fixed("seconds", ga.seconds, 6)
+                .with("evaluations", ga.evaluations)
+                .with("positions", ga.positions)
+                .with("checkpoint_peak_bytes", ga.checkpoint_peak_bytes),
+        )
+        .with("kernel_gate_nodes", head.nodes)
+        .fixed("kernel_vs_baseline", ratio, 3);
+    write_report(opts, "BENCH_mapper_xl.json", &report);
 }
 
 // ---- the chaos tier (`--chaos`) ----
@@ -819,43 +548,31 @@ fn run_chaos(opts: &Opts) {
     // The containment gates proper (typed errors, bit-identity of
     // untouched responses, balanced accounting, clean pass) are
     // asserted inside `run_chaos` — reaching this point *is* the gate.
-    let mut json = String::from("{\n  \"benchmark\": \"map_service_chaos\",\n");
-    let _ = writeln!(json, "  \"quick\": {},", opts.quick);
-    let _ = writeln!(json, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(json, "  \"nodes\": {},", cfg.nodes);
-    let _ = writeln!(json, "  \"distinct_graphs\": {},", cfg.distinct_graphs);
-    let _ = writeln!(json, "  \"engine_threads\": {engine_threads},");
-    let _ = writeln!(json, "  \"shards\": {shards},");
-    let _ = writeln!(json, "  \"clients\": {},", cfg.clients);
-    let _ = writeln!(json, "  \"rounds\": {},", report.rounds);
-    let _ = writeln!(json, "  \"submitted\": {},", report.submitted);
-    let _ = writeln!(json, "  \"ok\": {},", report.ok);
-    let _ = writeln!(json, "  \"internal_faults\": {},", report.internal_faults);
-    let _ = writeln!(json, "  \"mapper_errors\": {},", report.mapper_errors);
-    let _ = writeln!(
-        json,
-        "  \"overload_give_ups\": {},",
-        report.overload_give_ups
-    );
-    let _ = writeln!(json, "  \"retries\": {},", report.retries);
-    let _ = writeln!(json, "  \"seconds\": {:.6},", report.seconds);
-    let _ = writeln!(json, "  \"goodput_per_sec\": {:.3},", report.goodput);
-    let _ = writeln!(json, "  \"faults_fired\": {},", report.faults_fired);
-    json.push_str("  \"fired_per_site\": {\n");
-    for (i, (site, fired)) in report.per_site.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    \"{site}\": {fired}{}",
-            if i + 1 < report.per_site.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    json.push_str("  },\n");
-    let _ = writeln!(json, "  \"clean_pass_ok\": {}", report.clean_pass_ok);
-    json.push_str("}\n");
+    let fired_per_site = report
+        .per_site
+        .iter()
+        .fold(Row::new(), |row, &(site, fired)| row.with(site, fired));
+    let json = Row::new()
+        .with("benchmark", "map_service_chaos")
+        .with("quick", opts.quick)
+        .with("seed", cfg.seed)
+        .with("nodes", cfg.nodes)
+        .with("distinct_graphs", cfg.distinct_graphs)
+        .with("engine_threads", engine_threads)
+        .with("shards", shards)
+        .with("clients", cfg.clients)
+        .with("rounds", report.rounds)
+        .with("submitted", report.submitted)
+        .with("ok", report.ok)
+        .with("internal_faults", report.internal_faults)
+        .with("mapper_errors", report.mapper_errors)
+        .with("overload_give_ups", report.overload_give_ups)
+        .with("retries", report.retries)
+        .fixed("seconds", report.seconds, 6)
+        .fixed("goodput_per_sec", report.goodput, 3)
+        .with("faults_fired", report.faults_fired)
+        .with("fired_per_site", fired_per_site)
+        .with("clean_pass_ok", report.clean_pass_ok);
     write_report(opts, "BENCH_chaos.json", &json);
 }
 
@@ -1060,67 +777,42 @@ fn run_remap(opts: &Opts) {
     );
 
     // ---- machine-readable report ----
-    let mut json = String::from("{\n  \"benchmark\": \"remap_session\",\n");
-    let _ = writeln!(json, "  \"quick\": {},", opts.quick);
-    let _ = writeln!(json, "  \"seed\": {},", opts.seed);
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"gate_min_nodes\": {REMAP_GATE_MIN_NODES},");
-    json.push_str("  \"rows\": [\n");
-    for (i, (n, measured)) in rows.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"nodes\": {n},");
-        let _ = writeln!(
-            json,
-            "      \"gate_enforced\": {},",
-            *n >= REMAP_GATE_MIN_NODES
-        );
-        json.push_str("      \"cases\": [\n");
-        for (j, m) in measured.iter().enumerate() {
-            let _ = writeln!(json, "        {{");
-            let _ = writeln!(json, "          \"kind\": \"{}\",", m.kind);
-            let _ = writeln!(json, "          \"warm_ms\": {:.4},", m.warm_seconds * 1e3);
-            let _ = writeln!(json, "          \"full_ms\": {:.4},", m.full_seconds * 1e3);
-            let _ = writeln!(json, "          \"speedup\": {:.3},", m.speedup());
-            let _ = writeln!(
-                json,
-                "          \"quality_ratio\": {:.6},",
-                m.quality_ratio()
-            );
-            let _ = writeln!(
-                json,
-                "          \"neighborhood_ops\": {},",
-                m.warm.neighborhood_ops
-            );
-            let _ = writeln!(json, "          \"op_count\": {},", m.warm.op_count);
-            let _ = writeln!(json, "          \"iterations\": {},", m.warm.iterations);
-            let _ = writeln!(
-                json,
-                "          \"warm_decisions\": {},",
-                m.warm.batch.total()
-            );
-            let _ = writeln!(
-                json,
-                "          \"full_decisions\": {},",
-                m.full.batch.total()
-            );
-            let _ = writeln!(
-                json,
-                "          \"affected_nodes\": {},",
-                m.warm.affected_nodes
-            );
-            let _ = writeln!(json, "          \"warm_makespan\": {:.6},", m.warm.makespan);
-            let _ = writeln!(json, "          \"full_makespan\": {:.6}", m.full.makespan);
-            let _ = writeln!(
-                json,
-                "        }}{}",
-                if j + 1 < measured.len() { "," } else { "" }
-            );
-        }
-        json.push_str("      ]\n");
-        let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    json.push_str("  ]\n}\n");
-    write_report(opts, "BENCH_remap.json", &json);
+    let json_rows: Vec<Row> = rows
+        .iter()
+        .map(|(n, measured)| {
+            let cases: Vec<Row> = measured
+                .iter()
+                .map(|m| {
+                    Row::new()
+                        .with("kind", m.kind)
+                        .fixed("warm_ms", m.warm_seconds * 1e3, 4)
+                        .fixed("full_ms", m.full_seconds * 1e3, 4)
+                        .fixed("speedup", m.speedup(), 3)
+                        .fixed("quality_ratio", m.quality_ratio(), 6)
+                        .with("neighborhood_ops", m.warm.neighborhood_ops)
+                        .with("op_count", m.warm.op_count)
+                        .with("iterations", m.warm.iterations)
+                        .with("warm_decisions", m.warm.batch.total())
+                        .with("full_decisions", m.full.batch.total())
+                        .with("affected_nodes", m.warm.affected_nodes)
+                        .fixed("warm_makespan", m.warm.makespan, 6)
+                        .fixed("full_makespan", m.full.makespan, 6)
+                })
+                .collect();
+            Row::new()
+                .with("nodes", *n)
+                .with("gate_enforced", *n >= REMAP_GATE_MIN_NODES)
+                .with("cases", cases)
+        })
+        .collect();
+    let report = Row::new()
+        .with("benchmark", "remap_session")
+        .with("quick", opts.quick)
+        .with("seed", opts.seed)
+        .with("threads", threads)
+        .with("gate_min_nodes", REMAP_GATE_MIN_NODES)
+        .with("rows", json_rows);
+    write_report(opts, "BENCH_remap.json", &report);
 }
 
 struct Measurement {
@@ -1171,6 +863,37 @@ impl Measurement {
         } else {
             self.memo_hits as f64 / denom as f64
         }
+    }
+
+    /// The row's `runs` entry in `BENCH_mapper.json`.
+    fn row(&self) -> Row {
+        Row::new()
+            .with("mode", self.mode)
+            .with("report_schedules", self.report_schedules)
+            .with("nodes", self.nodes)
+            .with("edges", self.edges)
+            .with("iterations", self.iterations)
+            .fixed("serial_seconds", self.serial_seconds, 6)
+            .with("serial_evaluations", self.serial_evaluations)
+            .fixed("serial_mean_ns_per_eval", self.serial_ns_per_eval(), 1)
+            .fixed("batch1_seconds", self.batch1_seconds, 6)
+            .fixed("batchn_seconds", self.batchn_seconds, 6)
+            .with("batchn_evaluations", self.batchn_evaluations)
+            .fixed(
+                "batch_mean_ns_per_candidate",
+                self.batch_ns_per_candidate(),
+                1,
+            )
+            .with("evals_skipped_by_pruning", self.pruned)
+            .with("memo_hits", self.memo_hits)
+            .fixed("memo_hit_rate", self.memo_hit_rate(), 4)
+            .with("simulated", self.simulated)
+            .with("trivial_skips", self.trivial)
+            .with("schedule_sims", self.sched_simulated)
+            .with("schedule_cutoff_aborts", self.sched_aborted)
+            .with("schedule_memo_hits", self.sched_memo_hits)
+            .fixed("speedup_1_thread", self.speedup_1t(), 3)
+            .fixed("speedup_n_threads", self.speedup_nt(), 3)
     }
 }
 
@@ -1331,6 +1054,43 @@ impl GaMeasurement {
         } else {
             (self.memo_hits + self.batch_dups) as f64 / denom as f64
         }
+    }
+
+    /// The row's `ga_runs` entry in `BENCH_mapper.json`.
+    fn row(&self) -> Row {
+        Row::new()
+            .with("nodes", self.nodes)
+            .with("edges", self.edges)
+            .with("generations", self.generations)
+            .fixed("serial_seconds", self.serial_seconds, 6)
+            .with("serial_evaluations", self.serial_evaluations)
+            .fixed("batch1_seconds", self.batch1_seconds, 6)
+            .fixed("batchn_seconds", self.batchn_seconds, 6)
+            .fixed("scoped_seconds", self.scoped_seconds, 6)
+            .fixed("pool_vs_scoped", self.pool_vs_scoped(), 3)
+            .fixed("nearest_seconds", self.nearest_seconds, 6)
+            .fixed("trie_vs_nearest", self.trie_vs_nearest(), 3)
+            .with("pool_batches", self.pool_batches)
+            .with("pool_dispatches", self.pool_dispatches)
+            .with("scoped_spawns", self.scoped_spawns)
+            .with("batchn_evaluations", self.batchn_evaluations)
+            .with("positions", self.positions)
+            .with("nearest_positions", self.nearest_positions)
+            .with("full_sims", self.full_sims)
+            .with("windowed_sims", self.windowed_sims)
+            .with("windowed_skip_positions", self.windowed_skip)
+            .fixed("windowed_skip_rate", self.windowed_skip_rate(), 4)
+            .with("rolling_sims", self.rolling_sims)
+            .with("prefix_shared_positions", self.prefix_shared_positions)
+            .fixed("trie_depth_mean", self.trie_depth_mean(), 1)
+            .with("memo_hits", self.memo_hits)
+            .with("batch_dups", self.batch_dups)
+            .fixed("memo_hit_rate", self.memo_hit_rate(), 4)
+            .with("trails_recorded", self.trails_recorded)
+            .with("memo_peak", self.memo_peak)
+            .with("memo_evictions", self.memo_evictions)
+            .fixed("speedup_1_thread", self.speedup_1t(), 3)
+            .fixed("speedup_n_threads", self.speedup_nt(), 3)
     }
 }
 
@@ -1522,12 +1282,6 @@ fn main() {
         // The chaos tier is its own report: seeded fault injection,
         // containment checks, goodput under retry, its own JSON schema.
         run_chaos(&opts);
-        return;
-    }
-    if opts.service {
-        // The service tier is its own report: concurrent clients,
-        // cache/latency metrics, its own JSON schema and gate.
-        run_service(&opts);
         return;
     }
     if opts.remap {
@@ -1801,184 +1555,39 @@ fn main() {
     );
 
     // ---- machine-readable report ----
-    let mut json = String::from("{\n  \"benchmark\": \"candidate_engine_mapper\",\n");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"quick\": {},", opts.quick);
-    let _ = writeln!(json, "  \"seed\": {},", opts.seed);
-    let _ = writeln!(json, "  \"report_schedules\": {report_k},");
-    json.push_str("  \"runs\": [\n");
-    for (i, m) in rows.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"mode\": \"{}\",", m.mode);
-        let _ = writeln!(json, "      \"report_schedules\": {},", m.report_schedules);
-        let _ = writeln!(json, "      \"nodes\": {},", m.nodes);
-        let _ = writeln!(json, "      \"edges\": {},", m.edges);
-        let _ = writeln!(json, "      \"iterations\": {},", m.iterations);
-        let _ = writeln!(json, "      \"serial_seconds\": {:.6},", m.serial_seconds);
-        let _ = writeln!(
-            json,
-            "      \"serial_evaluations\": {},",
-            m.serial_evaluations
+    let report = Row::new()
+        .with("benchmark", "candidate_engine_mapper")
+        .with("threads", threads)
+        .with("quick", opts.quick)
+        .with("seed", opts.seed)
+        .with("report_schedules", report_k)
+        .with(
+            "runs",
+            rows.iter().map(Measurement::row).collect::<Vec<_>>(),
+        )
+        .with(
+            "ga_runs",
+            ga_rows.iter().map(GaMeasurement::row).collect::<Vec<_>>(),
+        )
+        .with("ga_generations", ga_generations)
+        .with("ga_headline_nodes", ga_head.nodes)
+        .fixed("ga_headline_speedup", ga_head.speedup_nt(), 3)
+        .with("ga_pool_gate_nodes", pool_head.map(|h| h.nodes))
+        .with(
+            "ga_pool_vs_scoped",
+            pool_head.map(|h| Json::Fixed(h.pool_vs_scoped(), 3)),
+        )
+        .fixed("ga_trie_vs_nearest", trie_head.trie_vs_nearest(), 3)
+        .fixed("ga_windowed_skip_rate", trie_head.windowed_skip_rate(), 4)
+        .with("headline_nodes", bfs_head.map(|h| h.nodes))
+        .with(
+            "headline_speedup",
+            bfs_head.map(|h| Json::Fixed(h.speedup_nt(), 3)),
+        )
+        .with("report_headline_nodes", report_head.map(|h| h.nodes))
+        .with(
+            "report_headline_speedup",
+            report_head.map(|h| Json::Fixed(h.speedup_nt(), 3)),
         );
-        let _ = writeln!(
-            json,
-            "      \"serial_mean_ns_per_eval\": {:.1},",
-            m.serial_ns_per_eval()
-        );
-        let _ = writeln!(json, "      \"batch1_seconds\": {:.6},", m.batch1_seconds);
-        let _ = writeln!(json, "      \"batchn_seconds\": {:.6},", m.batchn_seconds);
-        let _ = writeln!(
-            json,
-            "      \"batchn_evaluations\": {},",
-            m.batchn_evaluations
-        );
-        let _ = writeln!(
-            json,
-            "      \"batch_mean_ns_per_candidate\": {:.1},",
-            m.batch_ns_per_candidate()
-        );
-        let _ = writeln!(json, "      \"evals_skipped_by_pruning\": {},", m.pruned);
-        let _ = writeln!(json, "      \"memo_hits\": {},", m.memo_hits);
-        let _ = writeln!(json, "      \"memo_hit_rate\": {:.4},", m.memo_hit_rate());
-        let _ = writeln!(json, "      \"simulated\": {},", m.simulated);
-        let _ = writeln!(json, "      \"trivial_skips\": {},", m.trivial);
-        let _ = writeln!(json, "      \"schedule_sims\": {},", m.sched_simulated);
-        let _ = writeln!(
-            json,
-            "      \"schedule_cutoff_aborts\": {},",
-            m.sched_aborted
-        );
-        let _ = writeln!(json, "      \"schedule_memo_hits\": {},", m.sched_memo_hits);
-        let _ = writeln!(json, "      \"speedup_1_thread\": {:.3},", m.speedup_1t());
-        let _ = writeln!(json, "      \"speedup_n_threads\": {:.3}", m.speedup_nt());
-        let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"ga_runs\": [\n");
-    for (i, m) in ga_rows.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"nodes\": {},", m.nodes);
-        let _ = writeln!(json, "      \"edges\": {},", m.edges);
-        let _ = writeln!(json, "      \"generations\": {},", m.generations);
-        let _ = writeln!(json, "      \"serial_seconds\": {:.6},", m.serial_seconds);
-        let _ = writeln!(
-            json,
-            "      \"serial_evaluations\": {},",
-            m.serial_evaluations
-        );
-        let _ = writeln!(json, "      \"batch1_seconds\": {:.6},", m.batch1_seconds);
-        let _ = writeln!(json, "      \"batchn_seconds\": {:.6},", m.batchn_seconds);
-        let _ = writeln!(json, "      \"scoped_seconds\": {:.6},", m.scoped_seconds);
-        let _ = writeln!(json, "      \"pool_vs_scoped\": {:.3},", m.pool_vs_scoped());
-        let _ = writeln!(json, "      \"nearest_seconds\": {:.6},", m.nearest_seconds);
-        let _ = writeln!(
-            json,
-            "      \"trie_vs_nearest\": {:.3},",
-            m.trie_vs_nearest()
-        );
-        let _ = writeln!(json, "      \"pool_batches\": {},", m.pool_batches);
-        let _ = writeln!(json, "      \"pool_dispatches\": {},", m.pool_dispatches);
-        let _ = writeln!(json, "      \"scoped_spawns\": {},", m.scoped_spawns);
-        let _ = writeln!(
-            json,
-            "      \"batchn_evaluations\": {},",
-            m.batchn_evaluations
-        );
-        let _ = writeln!(json, "      \"positions\": {},", m.positions);
-        let _ = writeln!(
-            json,
-            "      \"nearest_positions\": {},",
-            m.nearest_positions
-        );
-        let _ = writeln!(json, "      \"full_sims\": {},", m.full_sims);
-        let _ = writeln!(json, "      \"windowed_sims\": {},", m.windowed_sims);
-        let _ = writeln!(
-            json,
-            "      \"windowed_skip_positions\": {},",
-            m.windowed_skip
-        );
-        let _ = writeln!(
-            json,
-            "      \"windowed_skip_rate\": {:.4},",
-            m.windowed_skip_rate()
-        );
-        let _ = writeln!(json, "      \"rolling_sims\": {},", m.rolling_sims);
-        let _ = writeln!(
-            json,
-            "      \"prefix_shared_positions\": {},",
-            m.prefix_shared_positions
-        );
-        let _ = writeln!(
-            json,
-            "      \"trie_depth_mean\": {:.1},",
-            m.trie_depth_mean()
-        );
-        let _ = writeln!(json, "      \"memo_hits\": {},", m.memo_hits);
-        let _ = writeln!(json, "      \"batch_dups\": {},", m.batch_dups);
-        let _ = writeln!(json, "      \"memo_hit_rate\": {:.4},", m.memo_hit_rate());
-        let _ = writeln!(json, "      \"trails_recorded\": {},", m.trails_recorded);
-        let _ = writeln!(json, "      \"memo_peak\": {},", m.memo_peak);
-        let _ = writeln!(json, "      \"memo_evictions\": {},", m.memo_evictions);
-        let _ = writeln!(json, "      \"speedup_1_thread\": {:.3},", m.speedup_1t());
-        let _ = writeln!(json, "      \"speedup_n_threads\": {:.3}", m.speedup_nt());
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < ga_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"ga_generations\": {ga_generations},");
-    let _ = writeln!(json, "  \"ga_headline_nodes\": {},", ga_head.nodes);
-    let _ = writeln!(
-        json,
-        "  \"ga_headline_speedup\": {:.3},",
-        ga_head.speedup_nt()
-    );
-    match pool_head {
-        Some(h) => {
-            let _ = writeln!(json, "  \"ga_pool_gate_nodes\": {},", h.nodes);
-            let _ = writeln!(json, "  \"ga_pool_vs_scoped\": {:.3},", h.pool_vs_scoped());
-        }
-        None => {
-            let _ = writeln!(json, "  \"ga_pool_gate_nodes\": null,");
-            let _ = writeln!(json, "  \"ga_pool_vs_scoped\": null,");
-        }
-    }
-    let _ = writeln!(
-        json,
-        "  \"ga_trie_vs_nearest\": {:.3},",
-        trie_head.trie_vs_nearest()
-    );
-    let _ = writeln!(
-        json,
-        "  \"ga_windowed_skip_rate\": {:.4},",
-        trie_head.windowed_skip_rate()
-    );
-    match bfs_head {
-        Some(head) => {
-            let _ = writeln!(json, "  \"headline_nodes\": {},", head.nodes);
-            let _ = writeln!(json, "  \"headline_speedup\": {:.3},", head.speedup_nt());
-        }
-        None => {
-            let _ = writeln!(json, "  \"headline_nodes\": null,");
-            let _ = writeln!(json, "  \"headline_speedup\": null,");
-        }
-    }
-    match report_head {
-        Some(head) => {
-            let _ = writeln!(json, "  \"report_headline_nodes\": {},", head.nodes);
-            let _ = writeln!(
-                json,
-                "  \"report_headline_speedup\": {:.3}",
-                head.speedup_nt()
-            );
-        }
-        None => {
-            let _ = writeln!(json, "  \"report_headline_nodes\": null,");
-            let _ = writeln!(json, "  \"report_headline_speedup\": null");
-        }
-    }
-    json.push_str("}\n");
-    write_report(&opts, "BENCH_mapper.json", &json);
+    write_report(&opts, "BENCH_mapper.json", &report);
 }

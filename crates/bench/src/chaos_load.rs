@@ -15,7 +15,7 @@
 //! * the admission accounting balances at every round's quiescence
 //!   (`admitted == completed + failed`; rejected requests were never
 //!   admitted and are absorbed by the clients' bounded
-//!   [`RetryPolicy`](crate::service_load::RetryPolicy)),
+//!   [`RetryPolicy`]),
 //! * a fault-free **clean pass** over the whole zoo succeeds afterwards
 //!   — no fault leaks state into the service's future.
 //!
@@ -25,10 +25,20 @@
 //! properties (which *thread* trips a fault is scheduler-dependent —
 //! see `spmap_core::faults` — but nothing asserted depends on it).
 //!
-//! Everything here requires building with `--features fault-injection`;
-//! the no-feature [`run_chaos`] stub panics with that guidance.
-//!
-//! [`MapService`]: spmap_core::MapService
+//! Running chaos requires building with `--features fault-injection`;
+//! the no-feature [`run_chaos`] stub panics with that guidance.  The
+//! request zoo, the reference results and the retrying client
+//! ([`map_with_retry`]) need no fault points.
+
+use std::sync::Arc;
+
+use spmap_core::{
+    decomposition_map, EngineConfig, MapRequest, MapResponse, MapService, MapperConfig,
+    MapperResult, ServiceError, ServiceStats,
+};
+use spmap_graph::gen::{random_sp_graph, SpGenConfig};
+use spmap_graph::{augment, AugmentConfig};
+use spmap_model::Platform;
 
 /// Armed hits are drawn from `1..=MAX_HIT` executions of a site.  Kept
 /// small enough that every map-path site executes at least `MAX_HIT`
@@ -55,6 +65,106 @@ pub struct ChaosLoadConfig {
     pub seed: u64,
     /// Engine threads per request.
     pub engine_threads: usize,
+}
+
+/// Bounded-retry policy for overload rejections.
+#[derive(Clone, Copy, Debug)]
+pub struct RetryPolicy {
+    /// Give up on a request after this many retries.
+    pub max_retries: u32,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        Self { max_retries: 64 }
+    }
+}
+
+/// Submit `req`, retrying a bounded number of times on
+/// [`ServiceError::Overloaded`].  Returns the final outcome and the
+/// retries spent on it.
+///
+/// Backoff is completion-denominated, not clock-denominated: the
+/// rejection's `retry_hint` says how many requests must drain before
+/// admission can succeed, so the client yields until the service's
+/// drained counter (`completed + failed`) advances by that much.  A
+/// bounded yield budget keeps the wait live even if no other client is
+/// draining the service.  No clocks are read on the decision path.
+pub fn map_with_retry(
+    service: &MapService,
+    req: &MapRequest,
+    policy: RetryPolicy,
+) -> (Result<MapResponse, ServiceError>, u64) {
+    /// Liveness cap: stop waiting on the drained counter after this
+    /// many yields and just retry.
+    const MAX_YIELDS: u64 = 10_000;
+    fn drained(stats: &ServiceStats) -> u64 {
+        stats.completed + stats.failed
+    }
+    let mut retries = 0u64;
+    loop {
+        match service.map(req) {
+            Err(ServiceError::Overloaded { retry_hint, .. })
+                if retries < u64::from(policy.max_retries) =>
+            {
+                retries += 1;
+                let target = drained(&service.stats()) + retry_hint.max(1);
+                let mut yields = 0u64;
+                while drained(&service.stats()) < target && yields < MAX_YIELDS {
+                    std::thread::yield_now();
+                    yields += 1;
+                }
+            }
+            outcome => return (outcome, retries),
+        }
+    }
+}
+
+/// The request zoo of a chaos run: `distinct_graphs` augmented
+/// series-parallel graphs of `nodes` tasks under the reference
+/// platform, all mapped with `sp_first_fit` on `engine_threads`
+/// threads.
+pub fn build_requests(cfg: &ChaosLoadConfig) -> Vec<MapRequest> {
+    let platform = Arc::new(Platform::reference());
+    (0..cfg.distinct_graphs)
+        .map(|i| {
+            let seed = cfg.seed.wrapping_add(i as u64);
+            let mut g = random_sp_graph(&SpGenConfig::new(cfg.nodes, seed));
+            augment(&mut g, &AugmentConfig::default(), seed);
+            MapRequest::from_mapper_config(
+                Arc::new(g),
+                Arc::clone(&platform),
+                &MapperConfig {
+                    engine: EngineConfig {
+                        threads: Some(cfg.engine_threads),
+                        ..EngineConfig::default()
+                    },
+                    ..MapperConfig::sp_first_fit()
+                },
+            )
+        })
+        .collect()
+}
+
+/// The direct (service-free) reference results of a request zoo — the
+/// bit-identity baseline every service response is checked against.
+pub fn reference_results(requests: &[MapRequest]) -> Vec<MapperResult> {
+    requests
+        .iter()
+        .map(|r| {
+            let cfg = r.mapper_config().expect("zoo requests are decomposition");
+            decomposition_map(&r.graph, &r.platform, &cfg)
+        })
+        .collect()
+}
+
+/// Assert a service response equals its direct reference, field by
+/// field (mapping, makespan, history, decision counters).
+pub fn assert_identical(label: &str, got: &MapperResult, want: &MapperResult) {
+    assert_eq!(got.mapping, want.mapping, "{label}: mapping diverged");
+    assert_eq!(got.makespan, want.makespan, "{label}: makespan diverged");
+    assert_eq!(got.history, want.history, "{label}: history diverged");
+    assert_eq!(got.batch, want.batch, "{label}: decision counters diverged");
 }
 
 /// Aggregated outcome of one chaos run.
@@ -116,32 +226,17 @@ pub fn silence_injected_panics() {
 /// see the module docs for the asserted properties.
 #[cfg(feature = "fault-injection")]
 pub fn run_chaos(cfg: &ChaosLoadConfig) -> ChaosLoadReport {
-    use std::sync::Arc;
     use std::time::Instant;
 
     use spmap_core::faults::arm_kind;
-    use spmap_core::{FaultSchedule, FaultSite, MapService, ServiceConfig, ServiceError};
-
-    use crate::service_load::{
-        assert_identical, build_requests, map_with_retry, reference_results, RetryPolicy,
-        ServiceLoadConfig,
-    };
+    use spmap_core::{FaultSchedule, FaultSite, ServiceConfig};
 
     silence_injected_panics();
 
     let policy = RetryPolicy {
         max_retries: 10_000,
     };
-    let load = ServiceLoadConfig {
-        clients: cfg.clients,
-        requests_per_client: cfg.requests_per_client,
-        distinct_graphs: cfg.distinct_graphs,
-        nodes: cfg.nodes,
-        seed: cfg.seed,
-        engine_threads: cfg.engine_threads,
-        retry: Some(policy),
-    };
-    let requests = build_requests(&load);
+    let requests = build_requests(cfg);
     let references = reference_results(&requests);
 
     // Half the clients get run slots and there is no queue, so overload
@@ -278,13 +373,12 @@ pub fn run_chaos(_cfg: &ChaosLoadConfig) -> ChaosLoadReport {
     );
 }
 
-#[cfg(all(test, feature = "fault-injection"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn chaos_run_contains_faults_and_passes_clean() {
-        let report = run_chaos(&ChaosLoadConfig {
+    fn tiny() -> ChaosLoadConfig {
+        ChaosLoadConfig {
             clients: 2,
             rounds: 3,
             requests_per_client: 4,
@@ -292,7 +386,76 @@ mod tests {
             nodes: 24,
             seed: 77,
             engine_threads: 2,
+        }
+    }
+
+    #[test]
+    fn retry_returns_immediately_when_admitted() {
+        let requests = build_requests(&tiny());
+        let service = MapService::new(spmap_core::ServiceConfig::default());
+        let (outcome, retries) = map_with_retry(&service, &requests[0], RetryPolicy::default());
+        assert!(outcome.is_ok());
+        assert_eq!(retries, 0, "an admitted request must not be retried");
+    }
+
+    #[test]
+    fn retrying_clients_survive_a_tight_admission_gate() {
+        // Four closed-loop clients against a single run slot with no
+        // queue: without retries the first rejection would fail a
+        // request, with the policy every request eventually lands and
+        // results stay bit-identical.
+        let cfg = ChaosLoadConfig {
+            clients: 4,
+            requests_per_client: 3,
+            ..tiny()
+        };
+        let requests = build_requests(&cfg);
+        let references = reference_results(&requests);
+        let service = MapService::new(spmap_core::ServiceConfig {
+            max_inflight: 1,
+            max_queued: 0,
+            ..spmap_core::ServiceConfig::default()
         });
+        let policy = RetryPolicy { max_retries: 1_000 };
+        let retries: u64 = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..cfg.clients)
+                .map(|client| {
+                    let (service, requests, references) = (&service, &requests, &references);
+                    scope.spawn(move || {
+                        let mut spent = 0u64;
+                        for i in 0..cfg.requests_per_client {
+                            let idx = (client + i) % requests.len();
+                            let (outcome, r) = map_with_retry(service, &requests[idx], policy);
+                            spent += r;
+                            let resp = outcome.expect("retry budget exhausted");
+                            assert_identical(
+                                &format!("client {client} request {i}"),
+                                &resp.result,
+                                &references[idx],
+                            );
+                        }
+                        spent
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client thread panicked"))
+                .sum()
+        });
+        let stats = service.stats();
+        assert_eq!(stats.completed, 12);
+        assert_eq!(stats.admitted, stats.completed + stats.failed);
+        assert_eq!(
+            stats.rejected, retries,
+            "every overload rejection is one client retry"
+        );
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn chaos_run_contains_faults_and_passes_clean() {
+        let report = run_chaos(&tiny());
         assert_eq!(report.submitted, 24);
         assert_eq!(
             report.submitted,

@@ -21,9 +21,6 @@
 //! * `--sizes <a,b,..>` — comma-separated task-count override for
 //!   binaries that sweep graph sizes (`perf_report`: replaces the
 //!   built-in mapper/GA size lists, including the `--full` extension),
-//! * `--service` — service-mode run (`perf_report`: many-client load
-//!   against the long-lived `MapService`, reporting throughput,
-//!   latency percentiles, cache hit rate and shard utilization),
 //! * `--remap` — remapping-session run (`perf_report`: warm-start
 //!   remap latency vs a from-scratch re-map per perturbation kind,
 //!   with bit-identity replay checks; combines with `--quick` for a
@@ -35,8 +32,8 @@
 //!   combines with `--quick` for fewer rounds),
 //! * `--out <path>` — output-file override for binaries that write a
 //!   JSON report (`perf_report`: defaults are `BENCH_mapper.json`,
-//!   `BENCH_mapper_xl.json` for `--xl`, `BENCH_service.json` for
-//!   `--service`, `BENCH_remap.json` for `--remap`).
+//!   `BENCH_mapper_xl.json` for `--xl`, `BENCH_remap.json` for
+//!   `--remap`, `BENCH_chaos.json` for `--chaos`).
 
 /// Parsed common options.
 #[derive(Clone, Debug)]
@@ -61,9 +58,6 @@ pub struct Opts {
     pub ga_only: bool,
     /// Scale-tier run (`perf_report`: 10k–100k-node rows).
     pub xl: bool,
-    /// Service-mode run (`perf_report`: concurrent-client load against
-    /// the long-lived `MapService`).
-    pub service: bool,
     /// Remapping-session run (`perf_report`: warm-start remap latency
     /// vs from-scratch re-map across perturbation kinds and sizes).
     pub remap: bool,
@@ -95,7 +89,6 @@ impl Opts {
             report_schedules: None,
             ga_only: false,
             xl: false,
-            service: false,
             remap: false,
             chaos: false,
             out: None,
@@ -148,7 +141,6 @@ impl Opts {
                 "--quick" => opts.quick = true,
                 "--ga-only" => opts.ga_only = true,
                 "--xl" => opts.xl = true,
-                "--service" => opts.service = true,
                 "--remap" => opts.remap = true,
                 "--chaos" => opts.chaos = true,
                 other => eprintln!("warning: ignoring unknown flag {other}"),
@@ -224,13 +216,6 @@ mod tests {
         assert!(parse(&["--xl"]).xl);
         let o = parse(&["--xl", "--quick"]);
         assert!(o.xl && o.quick, "--xl combines with --quick");
-    }
-
-    #[test]
-    fn service_flag() {
-        assert!(!parse(&[]).service);
-        let o = parse(&["--service", "--quick"]);
-        assert!(o.service && o.quick, "--service combines with --quick");
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub mod chaos_load;
 pub mod cli;
 pub mod remap_load;
 pub mod report;
-pub mod service_load;
 pub mod sweep;
 pub mod workload;
 

@@ -1,5 +1,7 @@
-//! Aligned table printing and CSV output for the experiment binaries.
+//! Aligned table printing, CSV output and the JSON report emitter of
+//! the experiment binaries.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -118,6 +120,146 @@ pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
     }
 }
 
+/// One value of a machine-readable `BENCH_*.json` report.
+#[derive(Debug)]
+pub enum Json {
+    /// `null`: a headline with no row to take it from.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A count, size or seed.
+    Int(u64),
+    /// A float in its shortest round-trip form (`2.0` prints `2`).
+    Float(f64),
+    /// A float with a fixed number of decimals: `Fixed(x, 3)` prints
+    /// `{x:.3}`.
+    Fixed(f64, usize),
+    /// A plain label (printed unescaped; labels are identifiers).
+    Str(String),
+    /// A nested object.
+    Object(Row),
+    /// An array.
+    Array(Vec<Json>),
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Self {
+        Json::Int(n)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Self {
+        Json::Int(n as u64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Self {
+        Json::Float(x)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<Row> for Json {
+    fn from(row: Row) -> Self {
+        Json::Object(row)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Self {
+        Json::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(Json::Null, Into::into)
+    }
+}
+
+/// An ordered JSON object: keys print in the order they were added,
+/// so a report's key paths are fixed by the code that builds it.
+#[derive(Debug, Default)]
+pub struct Row(Vec<(&'static str, Json)>);
+
+impl Row {
+    /// An empty object.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append `key: value`.
+    pub fn with(mut self, key: &'static str, value: impl Into<Json>) -> Self {
+        self.0.push((key, value.into()));
+        self
+    }
+
+    /// Append `key: x` printed with `places` decimals.
+    pub fn fixed(self, key: &'static str, x: f64, places: usize) -> Self {
+        self.with(key, Json::Fixed(x, places))
+    }
+
+    /// Render as a two-space-indented JSON document with a trailing
+    /// newline.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        write_row(&mut out, self, 0);
+        out.push('\n');
+        out
+    }
+}
+
+/// Append `row` to `out`: one `"key": value` line per field, indented
+/// one level deeper than `depth`, with the closing brace at `depth`.
+fn write_row(out: &mut String, row: &Row, depth: usize) {
+    out.push('{');
+    for (i, (key, value)) in row.0.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        let _ = write!(out, "{}\"{key}\": ", "  ".repeat(depth + 1));
+        write_json(out, value, depth + 1);
+    }
+    let _ = write!(out, "\n{}}}", "  ".repeat(depth));
+}
+
+/// Append `value` to `out` at nesting `depth` (see [`write_row`]).
+fn write_json(out: &mut String, value: &Json, depth: usize) {
+    // Writing into a `String` cannot fail.
+    let _ = match value {
+        Json::Null => write!(out, "null"),
+        Json::Bool(b) => write!(out, "{b}"),
+        Json::Int(n) => write!(out, "{n}"),
+        Json::Float(x) => write!(out, "{x}"),
+        Json::Fixed(x, places) => write!(out, "{x:.places$}"),
+        Json::Str(s) => write!(out, "\"{s}\""),
+        Json::Object(row) => {
+            write_row(out, row, depth);
+            Ok(())
+        }
+        Json::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                out.push_str(if i == 0 { "\n" } else { ",\n" });
+                out.push_str(&"  ".repeat(depth + 1));
+                write_json(out, item, depth + 1);
+            }
+            write!(out, "\n{}]", "  ".repeat(depth))
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +291,30 @@ mod tests {
         assert_eq!(dur(Duration::from_secs(2)), "2.00s");
         assert_eq!(mean([1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean([]), 0.0);
+    }
+
+    #[test]
+    fn json_rows_keep_key_order_and_decimals() {
+        let row = Row::new()
+            .with("benchmark", "demo")
+            .with("quick", true)
+            .with("nodes", 506usize)
+            .fixed("seconds", 0.25, 6)
+            .with("ratio", 2.0)
+            .with("missing", None::<u64>)
+            .with(
+                "runs",
+                vec![Row::new().with("a", 1u64).fixed("b", 1.0 / 3.0, 3)],
+            )
+            .with("empty", Vec::<Row>::new())
+            .with("per_site", Row::new().with("x", 0u64));
+        assert_eq!(
+            row.to_json(),
+            "{\n  \"benchmark\": \"demo\",\n  \"quick\": true,\n  \"nodes\": 506,\n  \
+             \"seconds\": 0.250000,\n  \"ratio\": 2,\n  \"missing\": null,\n  \
+             \"runs\": [\n    {\n      \"a\": 1,\n      \"b\": 0.333\n    }\n  ],\n  \
+             \"empty\": [\n  ],\n  \"per_site\": {\n    \"x\": 0\n  }\n}\n"
+        );
     }
 
     #[test]

@@ -1744,7 +1744,7 @@ mod tests {
                 d.iter().enumerate().filter(|(_, &x)| x > threshold).fold(
                     None::<(usize, f64)>,
                     |best, (i, &x)| {
-                        if best.map_or(true, |(_, b)| x > b) {
+                        if best.is_none_or(|(_, b)| x > b) {
                             Some((i, x))
                         } else {
                             best
@@ -1827,10 +1827,9 @@ mod tests {
                 },
             );
             let reference = reference_deltas(&g, &p, &eng);
-            for op in 0..eng.op_count() {
+            for (op, &true_delta) in reference.iter().enumerate().take(eng.op_count()) {
                 let verdict = eng.classify(op, true);
                 if let Verdict::Simulate { bound, .. } = verdict {
-                    let true_delta = reference[op];
                     if true_delta != f64::NEG_INFINITY {
                         assert!(
                             bound >= true_delta,

@@ -667,7 +667,6 @@ mod tests {
                 parallelizability: 0.0,
                 streamability: 7.0,
                 area: 120.0,
-                ..Task::default()
             };
         }
         g

@@ -1198,8 +1198,12 @@ mod tests {
         (g, Platform::reference())
     }
 
+    /// A child mapping: its base's index, the mapping, and the nodes it
+    /// changed from that base.
+    type Child = (usize, Mapping, Vec<NodeId>);
+
     /// A family of base mappings plus single/multi-node children of each.
-    fn zoo(g: &TaskGraph) -> (Vec<Mapping>, Vec<(usize, Mapping, Vec<NodeId>)>) {
+    fn zoo(g: &TaskGraph) -> (Vec<Mapping>, Vec<Child>) {
         let n = g.node_count();
         let bases: Vec<Mapping> = (0..3u32)
             .map(|b| {

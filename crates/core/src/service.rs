@@ -455,11 +455,6 @@ impl MapService {
         }
     }
 
-    /// The effective concurrent-execution bound.
-    pub fn max_inflight(&self) -> usize {
-        self.max_inflight
-    }
-
     /// Execute the one-shot `request` on the calling thread, waiting
     /// for an execution slot if all are busy and queue room remains.
     ///

@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn key_orders_like_f64_with_infinities() {
-        let mut keys = vec![
+        let mut keys = [
             key(1.0),
             key(f64::NEG_INFINITY),
             key(f64::INFINITY),

@@ -800,7 +800,6 @@ mod tests {
                 parallelizability: 0.0,
                 streamability: 16.0,
                 area: 1000.0, // only 2 of 10 fit in 2400
-                ..Task::default()
             };
         }
         let p = Platform::reference();

@@ -245,7 +245,7 @@ mod tests {
     fn topo_order_is_valid() {
         let g = diamond();
         let order = topo_order(&g).unwrap();
-        let mut pos = vec![0; 4];
+        let mut pos = [0; 4];
         for (i, v) in order.iter().enumerate() {
             pos[v.index()] = i;
         }

@@ -481,7 +481,6 @@ mod tests {
                 parallelizability: 1.0,
                 streamability: 1.0,
                 area: 160.0,
-                ..Task::default()
             };
         }
     }
@@ -561,7 +560,6 @@ mod tests {
                 parallelizability: 0.0,
                 streamability: 8.0,
                 area: 120.0,
-                ..Task::default()
             };
         }
         let p = Platform::reference();

@@ -268,8 +268,8 @@ pub struct DispatchStats {
     /// [`MAX_SHARDS`] − 1 — impossible via [`num_shards`] — fold into
     /// the last bucket).  A single-threaded caller lands everything on
     /// shard 0; concurrent callers spread out, which is exactly what
-    /// this histogram is for (shard utilization in `perf_report
-    /// --service`).
+    /// this histogram is for (pinned by the pool's
+    /// `concurrent_submitters_land_on_distinct_shards` test).
     pub pool_shard_batches: [u64; MAX_SHARDS],
 }
 
@@ -866,7 +866,7 @@ mod tests {
     #[test]
     fn num_shards_is_positive_and_capped() {
         let n = num_shards();
-        assert!(n >= 1 && n <= MAX_SHARDS);
+        assert!((1..=MAX_SHARDS).contains(&n));
     }
 
     #[test]

@@ -32,7 +32,6 @@ fn main() {
             parallelizability: 0.0,
             streamability: 7.0,
             area: 120.0,
-            ..Task::default()
         };
     }
     let platform = Platform::reference();

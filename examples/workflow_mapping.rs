@@ -12,6 +12,9 @@ use std::time::Instant;
 use spmap::prelude::*;
 use spmap::workflows::augment_ps;
 
+/// A named mapping algorithm, run on demand.
+type Algorithm<'a> = (&'static str, Box<dyn Fn() -> Mapping + 'a>);
+
 fn main() {
     let platform = Platform::reference();
     for (family, tasks) in [
@@ -32,7 +35,7 @@ fn main() {
             graph.edge_count(),
             cpu_only
         );
-        let algos: Vec<(&str, Box<dyn Fn() -> Mapping>)> = vec![
+        let algos: Vec<Algorithm> = vec![
             ("HEFT", Box::new(|| heft(&graph, &platform).mapping)),
             ("PEFT", Box::new(|| peft(&graph, &platform).mapping)),
             (

@@ -26,7 +26,7 @@
 
 #![cfg(feature = "fault-injection")]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use spmap::par::{with_backend, with_pool, ParBackend, Pool};
 use spmap::prelude::*;
@@ -35,6 +35,18 @@ use spmap_core::{
     EngineConfig, FaultKind, FaultSchedule, FaultSite, MapRequest, MapService, MapperResult,
     RemapOutcome, RemapSession, ServiceConfig, ServiceError, INJECTED_PANIC_PREFIX,
 };
+
+/// Fault hit counters are process-global (`spmap_core::faults`): an
+/// unarmed map running in another test would step them and could
+/// consume this test's armed hit.  Every test holds this lock for its
+/// whole body, so one test's maps run at a time.
+static SUITE: Mutex<()> = Mutex::new(());
+
+/// Take the suite lock.  A test that failed while holding it poisoned
+/// it; the protected value is `()`, so the lock is still good.
+fn suite_lock() -> MutexGuard<'static, ()> {
+    SUITE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Swallow the default panic-hook chatter of *injected* panics (they
 /// are expected output here) while forwarding organic ones untouched.
@@ -109,6 +121,7 @@ fn assert_outcomes_identical(tag: &str, got: &RemapOutcome, want: &RemapOutcome)
 /// same request returns the reference bits.
 #[test]
 fn injected_panics_surface_as_typed_internal_errors() {
+    let _suite = suite_lock();
     silence_injected_panics();
     let req = request(1001);
     let want = reference(&req);
@@ -165,6 +178,7 @@ fn injected_panics_surface_as_typed_internal_errors() {
 /// mode, and the service counts it as a completed request.
 #[test]
 fn injected_sweep_errors_degrade_to_the_typed_nan_refusal() {
+    let _suite = suite_lock();
     silence_injected_panics();
     let req = request(1002);
     let want = reference(&req);
@@ -195,6 +209,7 @@ fn injected_sweep_errors_degrade_to_the_typed_nan_refusal() {
 /// maps successfully instead of being rejected forever.
 #[test]
 fn panicking_requests_release_their_admission_slots() {
+    let _suite = suite_lock();
     silence_injected_panics();
     let req = request(1003);
     let want = reference(&req);
@@ -236,6 +251,7 @@ fn panicking_requests_release_their_admission_slots() {
 /// state the rebuild derives from is intact).
 #[test]
 fn poisoned_sessions_recover_through_remap_full() {
+    let _suite = suite_lock();
     silence_injected_panics();
     let req = request(1004);
     let batch = vec![Perturbation::DeviceLost(DeviceId(1))];
@@ -294,6 +310,7 @@ fn poisoned_sessions_recover_through_remap_full() {
 /// it, reports the poison, and returns the last *committed* incumbent.
 #[test]
 fn poisoned_sessions_can_be_disposed_by_close() {
+    let _suite = suite_lock();
     silence_injected_panics();
     let req = request(1005);
     let service = MapService::new(ServiceConfig::default());
@@ -326,6 +343,7 @@ fn poisoned_sessions_can_be_disposed_by_close() {
 /// function of its seed, so every cell runs the same plans.
 #[test]
 fn concurrent_chaos_keeps_unfaulted_responses_bit_identical() {
+    let _suite = suite_lock();
     silence_injected_panics();
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 3;

@@ -146,8 +146,8 @@ fn gamma_threshold_waves_match_serial() {
 
 /// The multi-schedule sweep, headline version: for every combination of
 /// ≥3 thread counts and ≥2 schedule counts, the incremental
-/// `report_makespan`-mode engine (pruning + memo + per-schedule windows
-/// + running cutoffs) reproduces the reference serial sweep bit for
+/// `report_makespan`-mode engine (pruning, memo, per-schedule windows
+/// and running cutoffs) reproduces the reference serial sweep bit for
 /// bit: final mapping, report makespans, acceptance history, iteration
 /// count and baseline.
 #[test]

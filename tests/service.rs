@@ -186,8 +186,8 @@ fn concurrent_mapper_and_ga_runs_are_bit_identical() {
 }
 
 /// Cold build, warm cache hit and a byte-starved always-evicting cache
-/// all return the same bits; the hit/miss accounting tells the paths
-/// apart.
+/// all return the same bits, on the default pool and on explicit 1- and
+/// 2-shard pools; the hit/miss accounting tells the paths apart.
 #[test]
 fn artifact_cache_temperature_cannot_change_results() {
     let platform = Arc::new(Platform::reference());
@@ -205,25 +205,41 @@ fn artifact_cache_temperature_cannot_change_results() {
         .map(|r| decomposition_map_reference(&r.graph, &r.platform, &MapperConfig::sp_first_fit()))
         .collect();
 
-    let roomy = MapService::new(ServiceConfig::default());
+    let cold_and_warm = |pool: &str| {
+        let roomy = MapService::new(ServiceConfig::default());
+        for (i, req) in requests.iter().enumerate() {
+            let cold = roomy.map(req).expect("admitted");
+            let warm = roomy.map(req).expect("admitted");
+            assert!(
+                !cold.cache_hit,
+                "{pool}: first sight of graph {i} must build"
+            );
+            assert!(warm.cache_hit, "{pool}: second sight of graph {i} must hit");
+            assert_eq!(cold.cache_key, warm.cache_key);
+            assert_mapper_identical(&format!("{pool} cold {i}"), &cold.result, &references[i]);
+            assert_mapper_identical(&format!("{pool} warm {i}"), &warm.result, &references[i]);
+        }
+        let stats = roomy.stats();
+        assert_eq!(stats.cache.hits as usize, requests.len());
+        assert_eq!(stats.cache.misses as usize, requests.len());
+    };
+    cold_and_warm("default pool");
+    for shards in [1usize, 2] {
+        with_pool(&Arc::new(Pool::with_shards(shards)), || {
+            with_backend(ParBackend::Pool, || {
+                cold_and_warm(&format!("{shards}-shard pool"))
+            })
+        });
+    }
+
     let starved = MapService::new(ServiceConfig {
         cache_budget_bytes: 1, // every insert immediately evicts
         ..ServiceConfig::default()
     });
     for (i, req) in requests.iter().enumerate() {
-        let cold = roomy.map(req).expect("admitted");
-        let warm = roomy.map(req).expect("admitted");
         let evicting = starved.map(req).expect("admitted");
-        assert!(!cold.cache_hit, "first sight of graph {i} must build");
-        assert!(warm.cache_hit, "second sight of graph {i} must hit");
-        assert_eq!(cold.cache_key, warm.cache_key);
-        assert_mapper_identical(&format!("cold {i}"), &cold.result, &references[i]);
-        assert_mapper_identical(&format!("warm {i}"), &warm.result, &references[i]);
         assert_mapper_identical(&format!("evicting {i}"), &evicting.result, &references[i]);
     }
-    let stats = roomy.stats();
-    assert_eq!(stats.cache.hits as usize, requests.len());
-    assert_eq!(stats.cache.misses as usize, requests.len());
     let starved_stats = starved.stats();
     assert_eq!(
         starved_stats.cache.hits, 0,
