@@ -10,8 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use spmap_baselines::{heft, peft};
 use spmap_core::{
-    decomposition_map, decomposition_map_reference, CostModel, EngineConfig, EvalOrder,
-    MapperConfig,
+    decomposition_map, decomposition_map_reference, CostModel, EngineConfig, MapperConfig,
 };
 use spmap_decomp::{decompose_forest, CutPolicy};
 use spmap_ga::{nsga2_map, GaConfig};
@@ -140,12 +139,9 @@ fn bench_candidate_scan(c: &mut Criterion) {
             b.iter(|| decomposition_map(&g, &platform, &report_cfg))
         });
     }
-    // The GA population engine's evaluation orders head to head at the
-    // perf_report sweep shapes: the flat PR 3 nearest-base policy
-    // against the prefix-sharing trie walk (rolling checkpoint trails
-    // over the genome trie's DFS order).  Both produce bit-identical
-    // per-seed GA runs; only the replayed schedule suffix per offspring
-    // differs.
+    // The GA population engine at the perf_report sweep shapes: fitness
+    // memo, base-trail windowed replays and heap-free full replays on
+    // one thread.
     for n in [256usize, 506] {
         let width = (n as f64).sqrt().round() as usize;
         let mut g = layered_random(&LayeredConfig {
@@ -156,19 +152,15 @@ fn bench_candidate_scan(c: &mut Criterion) {
             edge_bytes: 50e6,
         });
         augment(&mut g, &AugmentConfig::default(), 2025);
-        let ga = |order: EvalOrder| GaConfig {
+        let ga = GaConfig {
             population: 100,
             generations: 40,
             seed: 2025,
             threads: Some(1),
-            eval_order: order,
             ..GaConfig::default()
         };
-        group.bench_with_input(BenchmarkId::new("ga_flat", n), &n, |b, _| {
-            b.iter(|| nsga2_map(&g, &platform, &ga(EvalOrder::NearestBase)))
-        });
-        group.bench_with_input(BenchmarkId::new("ga_trie", n), &n, |b, _| {
-            b.iter(|| nsga2_map(&g, &platform, &ga(EvalOrder::PrefixTrie)))
+        group.bench_with_input(BenchmarkId::new("ga", n), &n, |b, _| {
+            b.iter(|| nsga2_map(&g, &platform, &ga))
         });
     }
     group.finish();

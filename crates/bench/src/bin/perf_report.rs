@@ -39,25 +39,13 @@
 //! and the binary **fails** if the pooled row loses to the scoped row
 //! (beyond a small timer-noise allowance) — the pool CI perf gate.
 //!
-//! The GA is also measured under **both evaluation orders** of the
-//! population engine: the prefix-sharing trie order (default; rolling
-//! checkpoint trails over the genome trie's DFS walk) against the flat
-//! PR 3 nearest-base order kept as the executable spec.  Results are
-//! asserted bit-identical, per-row `windowed_skip_rate` /
-//! `trie_depth_mean` / `prefix_shared_positions` land on stdout and in
-//! the JSON, and the binary **fails** if the trie order *steps more
-//! schedule positions* than the nearest-base order (a deterministic,
-//! noise-free counter — the quantity the ordering optimizes; the trie
-//! steps 1.03–1.12x fewer), if its wall-clock loses by more than a
-//! loose 25 % backstop on the ≥200-node rows (both sides timed twice,
-//! minimum taken; the ~10 % position saving sits inside shared-runner
-//! timer noise, so wall-clock alone cannot carry a tight gate), or if
-//! the windowed skip rate drops below 30 % on the 500-node row (PR 3's
-//! flat order measured ~26 %; the trie holds ~34 %, the
-//! mutation-bounded ceiling — see docs/PERF.md) — the trie CI perf
-//! gates.
-//! `--ga-only` runs just the GA rows (and their gates) at the standard
-//! sizes: the cheap CI entry point for the trie gates.
+//! Each GA row also reports the population engine's deterministic
+//! work counters — stepped schedule `positions`, full/windowed
+//! simulations and the `windowed_skip_rate` — on stdout and in the
+//! JSON.
+//! `--ga-only` runs just the GA rows (and their gates: GA exactness,
+//! GA vs the serial reference, pool vs scoped) at the standard sizes,
+//! without paying for the mapper sweeps.
 //! `--sizes a,b,..` replaces the built-in size lists of both the mapper
 //! and GA loops (including the `--full` 1024/2048 GA extension, which
 //! used to be hardcoded).
@@ -70,9 +58,9 @@
 //! near-sequential, so the kernel must stay close to its in-cache
 //! figure when the tables outgrow L2), (b) a bounded `sp_first_fit`
 //! mapper row per size (the 100k row proves the engine completes at
-//! scale), and (c) a small GA row at the first size exercising rolling
-//! suffix-sparse trails + the trail cache.  Every row reports its peak
-//! checkpoint bytes, gated against the 32 MiB per-trail budget.
+//! scale), and (c) a small GA row at the first size exercising
+//! suffix-sparse base trails + the trail cache.  Every row reports its
+//! peak checkpoint bytes, gated against the 32 MiB per-trail budget.
 //! `--xl --quick` keeps only the first size — the CI smoke.
 //!
 //! `--remap` switches to the **remap tier**: warm-start remapping
@@ -113,7 +101,6 @@ use std::time::Instant;
 
 use spmap_bench::cli::Opts;
 use spmap_bench::report::{Json, Row};
-use spmap_core::EvalOrder;
 use spmap_core::{
     decomposition_map, decomposition_map_reference, CostModel, EngineConfig, MapperConfig,
 };
@@ -173,7 +160,7 @@ const XL_BASELINE_NODES: usize = 500;
 const XL_KERNEL_GATE_RATIO: f64 = 2.0;
 
 /// GA parameters of the XL GA row: enough generations to exercise the
-/// rolling suffix-sparse trails and the trail cache at scale without
+/// suffix-sparse base trails and the trail cache at scale without
 /// turning the smoke into a soak (the standard tier already measures
 /// GA throughput).
 const XL_GA_POPULATION: usize = 24;
@@ -211,7 +198,7 @@ struct XlKernelRow {
 
 /// Per-position cost of the cache-conscious simulation kernel: the
 /// pop-order checkpointed replay (the exact path every windowed replay
-/// and rolling trail runs), timed on the all-default mapping, minimum
+/// and trail recording runs), timed on the all-default mapping, minimum
 /// of a few repetitions to steady the clock.
 fn measure_xl_kernel(g: &TaskGraph, p: &Platform) -> XlKernelRow {
     let n = g.node_count();
@@ -286,7 +273,7 @@ struct XlGaRow {
     checkpoint_peak_bytes: u64,
 }
 
-/// A small GA row at the first XL size: rolling trails, the trail
+/// A small GA row at the first XL size: base trails, the trail
 /// cache, and windowed replays all run at a node count where a dense
 /// snapshot trail would cost ~8x the suffix-sparse one.
 fn measure_xl_ga(g: &TaskGraph, p: &Platform, threads: usize, seed: u64) -> XlGaRow {
@@ -402,7 +389,7 @@ fn run_xl(opts: &Opts) {
     );
     // The byte-budget CI gate: every snapshot trail the tier touched —
     // the raw kernel's checkpoint store, the mapper engine's per-trail
-    // peak, the GA's rolling trails + trail cache — fits the per-trail
+    // peak, the GA's trail cache and zero trail — fits the per-trail
     // budget.  `auto_interval_for` widens the snapshot interval to make
     // this hold by construction; the gate catches that math drifting
     // from the stores it is supposed to bound.
@@ -977,21 +964,13 @@ struct GaMeasurement {
     /// The same N-thread row on per-call scoped spawns — what the pool
     /// is gated against.
     scoped_seconds: f64,
-    /// The same N-thread pooled row under the flat PR 3 nearest-base
-    /// evaluation order — what the trie order is gated against.
-    nearest_seconds: f64,
-    /// Schedule positions the trie row actually stepped vs the
-    /// nearest-base row — the work ratio behind the wall-clock gate.
+    /// Schedule positions the N-thread row actually stepped — the
+    /// engine's deterministic simulation work.
     positions: u64,
-    nearest_positions: u64,
     batchn_evaluations: u64,
     full_sims: u64,
     windowed_sims: u64,
     windowed_skip: u64,
-    rolling_sims: u64,
-    prefix_shared_positions: u64,
-    trie_members: u64,
-    trie_lcp_positions: u64,
     memo_hits: u64,
     batch_dups: u64,
     trails_recorded: u64,
@@ -1019,31 +998,14 @@ impl GaMeasurement {
         self.scoped_seconds / self.batchn_seconds
     }
 
-    /// How much the trie evaluation order wins over the flat
-    /// nearest-base order (> 1 = trie faster).
-    fn trie_vs_nearest(&self) -> f64 {
-        self.nearest_seconds / self.batchn_seconds
-    }
-
-    /// Mean fraction of schedule positions a windowed replay skipped —
-    /// the ROADMAP metric the trie order exists to lift (PR 3 measured
-    /// ~26 % at 506 nodes).
+    /// Mean fraction of schedule positions a windowed replay skipped
+    /// (~26 % at 506 nodes).
     fn windowed_skip_rate(&self) -> f64 {
         let denom = self.windowed_sims * self.nodes as u64;
         if denom == 0 {
             0.0
         } else {
             self.windowed_skip as f64 / denom as f64
-        }
-    }
-
-    /// Mean LCP window depth (in pop positions) the trie walk
-    /// discovered between chained DFS neighbors.
-    fn trie_depth_mean(&self) -> f64 {
-        if self.trie_members == 0 {
-            0.0
-        } else {
-            self.trie_lcp_positions as f64 / self.trie_members as f64
         }
     }
 
@@ -1068,21 +1030,15 @@ impl GaMeasurement {
             .fixed("batchn_seconds", self.batchn_seconds, 6)
             .fixed("scoped_seconds", self.scoped_seconds, 6)
             .fixed("pool_vs_scoped", self.pool_vs_scoped(), 3)
-            .fixed("nearest_seconds", self.nearest_seconds, 6)
-            .fixed("trie_vs_nearest", self.trie_vs_nearest(), 3)
             .with("pool_batches", self.pool_batches)
             .with("pool_dispatches", self.pool_dispatches)
             .with("scoped_spawns", self.scoped_spawns)
             .with("batchn_evaluations", self.batchn_evaluations)
             .with("positions", self.positions)
-            .with("nearest_positions", self.nearest_positions)
             .with("full_sims", self.full_sims)
             .with("windowed_sims", self.windowed_sims)
             .with("windowed_skip_positions", self.windowed_skip)
             .fixed("windowed_skip_rate", self.windowed_skip_rate(), 4)
-            .with("rolling_sims", self.rolling_sims)
-            .with("prefix_shared_positions", self.prefix_shared_positions)
-            .fixed("trie_depth_mean", self.trie_depth_mean(), 1)
             .with("memo_hits", self.memo_hits)
             .with("batch_dups", self.batch_dups)
             .fixed("memo_hit_rate", self.memo_hit_rate(), 4)
@@ -1097,14 +1053,12 @@ impl GaMeasurement {
 fn measure_ga(nodes: usize, seed: u64, threads: usize, generations: usize) -> GaMeasurement {
     let g = layered_dag(nodes, seed);
     let p = Platform::reference();
-    let cfg = |t: Option<usize>, order: EvalOrder| GaConfig {
+    let cfg = |t: Option<usize>| GaConfig {
         generations,
         seed,
         threads: t,
-        eval_order: order,
         ..GaConfig::default()
     };
-    let trie = |t: Option<usize>| cfg(t, EvalOrder::PrefixTrie);
 
     // Gated rows are timed twice and keep the minimum: the gates
     // compare ~5 % margins, and single runs on shared CI boxes swing
@@ -1120,33 +1074,25 @@ fn measure_ga(nodes: usize, seed: u64, threads: usize, generations: usize) -> Ga
     }
 
     let t0 = Instant::now();
-    let serial = nsga2_map_reference(&g, &p, &trie(None));
+    let serial = nsga2_map_reference(&g, &p, &cfg(None));
     let serial_seconds = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let batch1 = nsga2_map(&g, &p, &trie(Some(1)));
+    let batch1 = nsga2_map(&g, &p, &cfg(Some(1)));
     let batch1_seconds = t1.elapsed().as_secs_f64();
     // The N-thread row, once per parallel backend.  Scoped first so the
     // pool's lazily spawned workers cannot warm anything for it.
     let (scoped_seconds, scoped) = timed2(|| {
         with_backend(ParBackend::Scoped, || {
-            nsga2_map(&g, &p, &trie(Some(threads)))
+            nsga2_map(&g, &p, &cfg(Some(threads)))
         })
     });
     let (batchn_seconds, batchn) =
-        timed2(|| with_backend(ParBackend::Pool, || nsga2_map(&g, &p, &trie(Some(threads)))));
-    // The same pooled N-thread row under the flat PR 3 nearest-base
-    // order: the baseline the trie evaluation order is gated against.
-    let (nearest_seconds, nearest) = timed2(|| {
-        with_backend(ParBackend::Pool, || {
-            nsga2_map(&g, &p, &cfg(Some(threads), EvalOrder::NearestBase))
-        })
-    });
+        timed2(|| with_backend(ParBackend::Pool, || nsga2_map(&g, &p, &cfg(Some(threads)))));
 
     for (tag, r) in [
         ("1 thread", &batch1),
         ("N threads scoped", &scoped),
         ("N threads pool", &batchn),
-        ("N threads nearest-base", &nearest),
     ] {
         assert_eq!(serial.mapping, r.mapping, "GA engine must be exact ({tag})");
         assert_eq!(
@@ -1192,20 +1138,14 @@ fn measure_ga(nodes: usize, seed: u64, threads: usize, generations: usize) -> Ga
         batch1_seconds,
         batchn_seconds,
         scoped_seconds,
-        nearest_seconds,
         pool_batches: batchn.dispatch.pool_batches,
         pool_dispatches: batchn.dispatch.pool_dispatches,
         scoped_spawns: scoped.dispatch.scoped_spawns,
         batchn_evaluations: batchn.evaluations,
         positions: batchn.positions,
-        nearest_positions: nearest.positions,
         full_sims: batchn.engine.full_sims,
         windowed_sims: batchn.engine.windowed_sims,
         windowed_skip: batchn.engine.windowed_skip,
-        rolling_sims: batchn.engine.rolling_sims,
-        prefix_shared_positions: batchn.engine.prefix_shared_positions,
-        trie_members: batchn.engine.trie_members,
-        trie_lcp_positions: batchn.engine.trie_lcp_positions,
         memo_hits: batchn.engine.memo_hits,
         batch_dups: batchn.engine.batch_dups,
         trails_recorded: batchn.engine.trails_recorded,
@@ -1240,22 +1180,9 @@ fn print_ga_row(m: &GaMeasurement) {
         m.scoped_spawns,
     );
     println!(
-        "       trie {:>6.2}s vs nearest-base {:>6.2}s = {:>5.2}x  \
-         (skip rate {:.1}%, {} rolling sims, {:.0} mean trie depth, \
-          {} prefix-shared positions)",
-        m.batchn_seconds,
-        m.nearest_seconds,
-        m.trie_vs_nearest(),
-        100.0 * m.windowed_skip_rate(),
-        m.rolling_sims,
-        m.trie_depth_mean(),
-        m.prefix_shared_positions,
-    );
-    println!(
-        "       positions {} vs {} nearest ({:.2}x fewer steps)",
+        "       positions {} (skip rate {:.1}%)",
         m.positions,
-        m.nearest_positions,
-        m.nearest_positions as f64 / m.positions.max(1) as f64,
+        100.0 * m.windowed_skip_rate(),
     );
 }
 
@@ -1477,82 +1404,6 @@ fn main() {
             pool_head.scoped_spawns,
         );
     }
-    // The trie-order perf gates.  The algorithmic claim — per
-    // candidate the trie windows from `max(LCP, base window)`, so it
-    // replays no more of the schedule than the flat PR 3 nearest-base
-    // order — is gated on the *deterministic* stepped-position
-    // counters: bit-reproducible per (graph, seed), immune to timer
-    // noise, and exactly the quantity the ordering optimizes (the trie
-    // steps 1.03–1.12x fewer positions on the standard sizes).  The
-    // guarantee leans on the engine's canonical trail-cache lookup
-    // order (identical cache evolution across orders) and the default
-    // effectively-unbounded fitness memo both rows run with.
-    for m in ga_rows.iter() {
-        assert!(
-            m.positions <= m.nearest_positions,
-            "trie order stepped more schedule positions than the nearest-base order \
-             ({} nodes): {} vs {}",
-            m.nodes,
-            m.positions,
-            m.nearest_positions,
-        );
-    }
-    // Wall-clock is gated loosely (25 %) as a backstop against
-    // catastrophic bookkeeping regressions only: the ~10 % position
-    // saving at the headline size is *smaller* than a loaded shared
-    // box's observed run-to-run swing (ratios of 0.85–1.06 were
-    // measured for identical binaries), so any tighter wall gate
-    // flakes without measuring anything the deterministic position
-    // gate does not already pin (docs/PERF.md, "when the flat order
-    // still wins").
-    const TRIE_GATE_MIN_NODES: usize = 200;
-    for m in ga_rows
-        .iter()
-        .filter(|m| (TRIE_GATE_MIN_NODES..=POOL_GATE_MAX_NODES).contains(&m.nodes))
-    {
-        assert!(
-            m.batchn_seconds <= m.nearest_seconds * 1.25,
-            "trie evaluation order lost badly to the nearest-base order ({} nodes): \
-             trie {:.3}s vs nearest {:.3}s ({:.2}x)",
-            m.nodes,
-            m.batchn_seconds,
-            m.nearest_seconds,
-            m.trie_vs_nearest(),
-        );
-    }
-    // The skip-rate floor: the ROADMAP item this order exists for.
-    // PR 3's nearest-base windows averaged ~26 % skipped positions at
-    // 506 nodes; the trie order holds ~34 % — the structural ceiling
-    // for prefix windows under the paper's GA parameterization (the
-    // window depth of a crossover+mutation offspring is bounded by
-    // E[min(cut, mutation)] ≈ n/3; docs/PERF.md).  The 30 % floor sits
-    // between the two: it catches any regression of the trie machinery
-    // while leaving headroom for graph-shape noise.
-    if let Some(m) = ga_rows
-        .iter()
-        .rfind(|m| (500..=POOL_GATE_MAX_NODES).contains(&m.nodes))
-    {
-        assert!(
-            m.windowed_skip_rate() >= 0.30,
-            "GA windowed skip rate regressed below the 30 % floor at {} nodes: {:.1}%",
-            m.nodes,
-            100.0 * m.windowed_skip_rate(),
-        );
-    }
-    let trie_head = ga_rows.last().expect("at least one GA size");
-    println!(
-        "ga trie-vs-nearest ({} nodes, {} generations): trie {:.2}s vs nearest {:.2}s = {:.2}x \
-         (skip rate {:.1}%, mean trie depth {:.0}/{} positions, {} rolling sims)",
-        trie_head.nodes,
-        trie_head.generations,
-        trie_head.batchn_seconds,
-        trie_head.nearest_seconds,
-        trie_head.trie_vs_nearest(),
-        100.0 * trie_head.windowed_skip_rate(),
-        trie_head.trie_depth_mean(),
-        trie_head.nodes,
-        trie_head.rolling_sims,
-    );
 
     // ---- machine-readable report ----
     let report = Row::new()
@@ -1577,8 +1428,7 @@ fn main() {
             "ga_pool_vs_scoped",
             pool_head.map(|h| Json::Fixed(h.pool_vs_scoped(), 3)),
         )
-        .fixed("ga_trie_vs_nearest", trie_head.trie_vs_nearest(), 3)
-        .fixed("ga_windowed_skip_rate", trie_head.windowed_skip_rate(), 4)
+        .fixed("ga_windowed_skip_rate", ga_head.windowed_skip_rate(), 4)
         .with("headline_nodes", bfs_head.map(|h| h.nodes))
         .with(
             "headline_speedup",

@@ -247,20 +247,26 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Effective worker count.  An explicit `Some(n)` is honored
-    /// verbatim (tests rely on really getting `n` workers); only the
-    /// `None` default is capped at the machine's parallelism, because
-    /// candidate simulation is CPU-bound and oversubscribed workers
-    /// only add scheduling overhead.
+    /// Effective worker count (see [`resolve_threads`]).
     pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            Some(n) => n.max(1),
-            None => {
-                let cores = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                spmap_par::num_threads().clamp(1, cores)
-            }
+        resolve_threads(self.threads)
+    }
+}
+
+/// The worker count of an engine configured with `threads`.  An
+/// explicit `Some(n)` is honored verbatim (tests rely on really getting
+/// `n` workers); only the `None` default is capped at the machine's
+/// parallelism, because simulation is CPU-bound and oversubscribed
+/// workers only add scheduling overhead.  Shared by the mapper engine
+/// and the population engine.
+pub(crate) fn resolve_threads(threads: Option<usize>) -> usize {
+    match threads {
+        Some(n) => n.max(1),
+        None => {
+            let cores = std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1);
+            spmap_par::num_threads().clamp(1, cores)
         }
     }
 }

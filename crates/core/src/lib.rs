@@ -61,10 +61,7 @@ pub use mapper::{
     try_decomposition_map_reference, CostModel, MapperConfig, MapperError, MapperResult, OpId,
     SearchHeuristic, SubgraphStrategy,
 };
-pub use population::{
-    trie_order, DeltaCandidate, EvalOrder, PopBase, PopulationConfig, PopulationEval,
-    PopulationStats,
-};
+pub use population::{DeltaCandidate, PopBase, PopulationConfig, PopulationEval, PopulationStats};
 pub use request::{map_request, Algo, GaParams, Limits, MapRequest};
 pub use runtime::RuntimeConfig;
 pub use service::{

@@ -25,26 +25,12 @@
 //!   content-keyed by the base's fingerprint and cached *across*
 //!   batches — an elitist survivor keeps parenting offspring for many
 //!   generations, so its trail is recorded once and pays out for its
-//!   whole lifetime.  The recording gate is purely a *cost* heuristic —
-//!   windowed and full simulations produce bit-identical makespans, so
-//!   neither the gate nor an eviction can ever change a result.
-//! * **A prefix-sharing trie evaluation order**
-//!   ([`EvalOrder::PrefixTrie`], the default): within one batch, the
-//!   candidates are sorted lexicographically by their device
-//!   assignments projected onto ascending earliest-read node order —
-//!   the depth-first walk of the genome trie.  Adjacent candidates
-//!   then share the longest available genome prefix, and a chain of
-//!   them keeps **one rolling checkpoint trail**: extend on descent,
-//!   truncate on backtrack, so each sibling replays only its divergent
-//!   suffix.  Every candidate windows from
-//!   `max(LCP with its trie predecessor, its nearest-base window)`, so
-//!   the trie order can never replay *more* positions than the flat
-//!   nearest-base policy ([`EvalOrder::NearestBase`], kept as the
-//!   executable spec of the PR 3 engine).  A serial planner decides
-//!   every restore source and every live snapshot before dispatch; the
-//!   trie subtrees are the parallel work items, so results *and*
-//!   statistics are thread- and backend-invariant (docs/PERF.md has
-//!   the exactness argument).
+//!   whole lifetime.  Every candidate windows independently against
+//!   its nearest cached base trail, or replays from the shared
+//!   all-zero snapshot.  The recording gate is purely a *cost*
+//!   heuristic — windowed and full simulations produce bit-identical
+//!   makespans, so neither the gate nor an eviction can ever change a
+//!   result.
 //! * **Parallel simulation** over `spmap-par` worker states, with all
 //!   memo reads/writes and every trail decision on the serial
 //!   coordinating path, so results *and* memo state are
@@ -56,29 +42,13 @@
 use std::collections::HashMap;
 use std::sync::RwLock;
 
-use spmap_graph::{NodeId, TaskGraph};
+use spmap_graph::TaskGraph;
 use spmap_model::{
     EvalScratch, EvalTables, Mapping, Numbering, Platform, ScheduleCheckpoints, WindowSim,
 };
 use spmap_par::{par_map_with_threads, DispatchStats, WorkerStates};
 
-use crate::batch::{BoundedMemo, DEFAULT_MEMO_CAPACITY};
-
-/// How one batch's pending candidates are ordered for evaluation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvalOrder {
-    /// Depth-first genome-trie order with rolling checkpoint trails:
-    /// siblings sharing a genome prefix replay only their divergent
-    /// suffix.  Each candidate still windows from its nearest-base
-    /// position when that is deeper, so this order never replays more
-    /// than [`EvalOrder::NearestBase`].
-    #[default]
-    PrefixTrie,
-    /// The flat PR 3 policy, kept as the executable specification:
-    /// every candidate independently windows against its nearest
-    /// cached base trail (or replays from the zero state).
-    NearestBase,
-}
+use crate::batch::{resolve_threads, BoundedMemo, DEFAULT_MEMO_CAPACITY};
 
 /// Tuning knobs of the population evaluator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,16 +60,14 @@ pub struct PopulationConfig {
     pub memo_capacity: usize,
     /// Trail-cache slot cap (LRU; `0` = the memory-budget heuristic
     /// [`trail_cache_cap`] — ~64 MB of snapshots, clamped to
-    /// `[16, 256]` slots).  Eviction can never change a result.
+    /// `[4, 256]` slots).  Eviction can never change a result.
     pub trail_cache_capacity: usize,
-    /// Evaluation-order policy (see [`EvalOrder`]).
-    pub order: EvalOrder,
     /// Node numbering of the evaluation tables (layout only; results
     /// are bit-identical — see `spmap_model::Numbering`).
     pub numbering: Numbering,
-    /// Pin all checkpoint trails (cached base trails and the rolling
-    /// trie trails) to the dense snapshot layout (ablation /
-    /// bit-identity cells; ~2× the snapshot bytes of suffix-sparse).
+    /// Pin all checkpoint trails (cached base trails and the zero
+    /// trail) to the dense snapshot layout (ablation / bit-identity
+    /// cells; ~2× the snapshot bytes of suffix-sparse).
     pub dense_checkpoints: bool,
     /// Per-trail checkpoint byte budget (`0` = the 32 MiB default);
     /// widens the snapshot interval, never changes results.
@@ -112,7 +80,6 @@ impl Default for PopulationConfig {
             threads: None,
             memo_capacity: DEFAULT_MEMO_CAPACITY,
             trail_cache_capacity: 0,
-            order: EvalOrder::PrefixTrie,
             numbering: Numbering::default(),
             dense_checkpoints: false,
             checkpoint_budget_bytes: 0,
@@ -125,8 +92,8 @@ impl Default for PopulationConfig {
 pub struct PopulationStats {
     /// Candidates settled by a full from-scratch simulation.
     pub full_sims: u64,
-    /// Candidates settled by a windowed replay (from a cached base
-    /// trail or from the rolling trie trail).
+    /// Candidates settled by a windowed replay from a cached base
+    /// trail.
     pub windowed_sims: u64,
     /// Candidates answered by the fitness memo without simulation.
     pub memo_hits: u64,
@@ -141,22 +108,6 @@ pub struct PopulationStats {
     /// simulation processes `n` positions; this is the windows' saved
     /// work, before snapshot-granularity rounding).
     pub windowed_skip: u64,
-    /// Windowed replays served by the rolling trie trail (a subset of
-    /// `windowed_sims`; the remainder restored from cached base trails).
-    pub rolling_sims: u64,
-    /// Pop positions the *ordering* saved on top of endpoint caching:
-    /// for every rolling-trail replay, its window start minus the best
-    /// base-trail window the same candidate had available (a subset of
-    /// `windowed_skip` — base caching alone would have saved the
-    /// rest).
-    pub prefix_shared_positions: u64,
-    /// Chained (non-root) candidates of the trie walk.
-    pub trie_members: u64,
-    /// Summed LCP window starts over the chained candidates — the raw
-    /// prefix depth the trie order discovered, before the per-candidate
-    /// `max(LCP, base window)` choice.  `trie_lcp_positions /
-    /// trie_members` is the mean trie depth in pop positions.
-    pub trie_lcp_positions: u64,
     /// Trails dropped from the trail cache by LRU eviction.
     pub trail_evictions: u64,
     /// Largest slot count the trail cache ever held (stays at or below
@@ -168,7 +119,6 @@ pub struct PopulationStats {
     /// below `PopulationConfig::memo_capacity` when a capacity is set).
     pub memo_peak: u64,
 }
-
 /// One population member awaiting evaluation: a full candidate mapping,
 /// optionally described as a delta against a base mapping of the batch.
 #[derive(Clone, Copy, Debug)]
@@ -202,13 +152,6 @@ pub struct PopBase<'a> {
     pub fingerprint: u128,
 }
 
-/// Per-worker simulation state: the evaluation scratch plus one rolling
-/// checkpoint trail for the trie chains this worker executes.
-struct PopWorker {
-    scratch: EvalScratch,
-    rolling: ScheduleCheckpoints,
-}
-
 /// Trail-cache memory budget: the slot count is scaled so the cache
 /// stays within this budget on any graph size, clamped to `[4, 256]`
 /// slots.
@@ -236,16 +179,6 @@ fn trail_cache_cap(n: usize, every: usize) -> usize {
 /// batch, and cross-batch reuse is pure profit.
 const TRAIL_GAIN_MIN: usize = 1;
 
-/// Target chain length of one trie work item.  The feasible candidates
-/// of a batch are split into `ceil(k / TRIE_CHAIN_TARGET)` contiguous
-/// DFS ranges — a pure function of the batch, never of the thread
-/// count, so the plan (and with it every statistic) is identical for
-/// any worker count and backend.  Chains break at the boundaries with
-/// the smallest window-depth loss (`LCP − base window`), and a chain
-/// root still windows against its nearest cached base trail, so a
-/// break never costs more than falling back to the flat policy there.
-const TRIE_CHAIN_TARGET: usize = 8;
-
 /// A content-keyed LRU cache of base checkpoint trails.  `RwLock` per
 /// slot: recording takes the write lock (each slot written by exactly
 /// one worker), windowed replays share the read lock.
@@ -258,6 +191,8 @@ struct TrailCache {
     clock: u64,
     evictions: u64,
     capacity: usize,
+    /// Snapshot interval of every stored trail (pop positions).
+    every: usize,
     /// Pin newly reserved stores to the dense snapshot layout
     /// (`PopulationConfig::dense_checkpoints`).
     dense: bool,
@@ -276,6 +211,7 @@ impl TrailCache {
             } else {
                 capacity
             },
+            every,
             dense,
         }
     }
@@ -307,13 +243,13 @@ impl TrailCache {
     /// is pinned (the batch then falls back to full simulation for
     /// this base's children — always correct, merely slower).  The
     /// caller records into the returned slot's store and must pin it.
-    fn reserve(&mut self, fp: u128, every: usize, pinned: &mut Vec<bool>) -> Option<usize> {
+    fn reserve(&mut self, fp: u128, pinned: &mut Vec<bool>) -> Option<usize> {
         self.clock += 1;
         let slot = if self.stores.len() < self.capacity {
             let store = if self.dense {
-                ScheduleCheckpoints::new_dense(every)
+                ScheduleCheckpoints::new_dense(self.every)
             } else {
-                ScheduleCheckpoints::new(every)
+                ScheduleCheckpoints::new(self.every)
             };
             self.stores.push(RwLock::new(store));
             self.stamp.push(0);
@@ -369,194 +305,15 @@ impl TrailCache {
     }
 }
 
-/// The node scan order of the prefix trie: node ids sorted by
-/// `(earliest breadth-first read position, id)`.  Two mappings that
-/// first differ (in this order) at a node read at position `p` have
-/// bit-identical schedules before `p` — every later-scanned node is
-/// read at `p` or later — so `p` is their exact shared window start.
-fn scan_nodes(tables: &EvalTables<'_>) -> Vec<u32> {
-    let mut scan: Vec<u32> = (0..tables.node_count() as u32).collect();
-    scan.sort_by_key(|&v| (tables.earliest_read_pos(NodeId(v)), v));
-    scan
-}
-
-/// Sparse lexicographic comparator over scan-projected mappings.
-///
-/// Each mapping is represented by its `(scan rank, device)` differences
-/// from a shared reference mapping (the batch's fittest base — a
-/// converged population clusters around it, so diff lists are short).
-/// Comparing two near-identical genomes then costs `O(shared diff
-/// entries)` instead of `O(n)`, which is what makes the trie sort pay
-/// for itself: the induced order is *exactly* the dense lexicographic
-/// order — ranks where both sides equal the reference compare equal,
-/// and a rank where only one side differs resolves against the
-/// reference's device (never a tie: a stored diff differs from the
-/// reference by construction).
-struct SparseProj {
-    /// Reference device per scan rank.
-    rproj: Vec<spmap_model::DeviceId>,
-    /// Concatenated per-candidate diff lists, ascending rank.
-    flat: Vec<(u32, spmap_model::DeviceId)>,
-    /// Candidate `i`'s diff list is `flat[span[i].0 .. span[i].1]`.
-    span: Vec<(u32, u32)>,
-}
-
-impl SparseProj {
-    /// `scan_rank` is the inverse of the scan order
-    /// (`scan_rank[node] = rank`).  The diff pass streams both mappings
-    /// in node order (sequential, branch rarely taken) and sorts each
-    /// short diff list by rank afterwards — far cheaper than walking
-    /// the scan permutation per candidate.
-    fn build(scan_rank: &[u32], maps: &[&Mapping], rmap: &Mapping) -> Self {
-        let r = rmap.as_slice();
-        let n = r.len();
-        let mut rproj = vec![spmap_model::DeviceId(0); n];
-        for (v, &d) in r.iter().enumerate() {
-            rproj[scan_rank[v] as usize] = d;
-        }
-        let mut flat = Vec::new();
-        let mut span = Vec::with_capacity(maps.len());
-        for m in maps {
-            let ms = m.as_slice();
-            let s = flat.len();
-            for (v, (&d, &rd)) in ms.iter().zip(r).enumerate() {
-                if d != rd {
-                    flat.push((scan_rank[v], d));
-                }
-            }
-            flat[s..].sort_unstable_by_key(|&(rank, _)| rank);
-            span.push((s as u32, flat.len() as u32));
-        }
-        Self { rproj, flat, span }
-    }
-
-    fn diffs(&self, i: usize) -> &[(u32, spmap_model::DeviceId)] {
-        let (s, e) = self.span[i];
-        &self.flat[s as usize..e as usize]
-    }
-
-    /// Dense lexicographic comparison of candidates `a` and `b` under
-    /// the scan projection.
-    fn cmp(&self, a: usize, b: usize) -> std::cmp::Ordering {
-        let (mut da, mut db) = (self.diffs(a).iter(), self.diffs(b).iter());
-        let (mut na, mut nb) = (da.next(), db.next());
-        loop {
-            match (na, nb) {
-                (None, None) => return std::cmp::Ordering::Equal,
-                (Some(&(ra, va)), None) => return va.cmp(&self.rproj[ra as usize]),
-                (None, Some(&(rb, vb))) => return self.rproj[rb as usize].cmp(&vb),
-                (Some(&(ra, va)), Some(&(rb, vb))) => {
-                    if ra < rb {
-                        return va.cmp(&self.rproj[ra as usize]);
-                    }
-                    if rb < ra {
-                        return self.rproj[rb as usize].cmp(&vb);
-                    }
-                    if va != vb {
-                        return va.cmp(&vb);
-                    }
-                    na = da.next();
-                    nb = db.next();
-                }
-            }
-        }
-    }
-
-    /// First scan rank at which `a` and `b` disagree; `None` when the
-    /// mappings are identical.
-    fn first_diff_rank(&self, a: usize, b: usize) -> Option<u32> {
-        let (mut da, mut db) = (self.diffs(a).iter(), self.diffs(b).iter());
-        let (mut na, mut nb) = (da.next(), db.next());
-        loop {
-            match (na, nb) {
-                (None, None) => return None,
-                (Some(&(ra, _)), None) => return Some(ra),
-                (None, Some(&(rb, _))) => return Some(rb),
-                (Some(&(ra, va)), Some(&(rb, vb))) => {
-                    if ra != rb {
-                        return Some(ra.min(rb));
-                    }
-                    if va != vb {
-                        return Some(ra);
-                    }
-                    na = da.next();
-                    nb = db.next();
-                }
-            }
-        }
-    }
-}
-
-/// Sort mapping indices lexicographically by device assignment
-/// projected onto `scan` — the depth-first walk of the genome trie.
-fn sort_trie(proj: &SparseProj) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..proj.span.len() as u32).collect();
-    // Stable sort: identical mappings keep input order, so the walk is
-    // deterministic.
-    order.sort_by(|&a, &b| proj.cmp(a as usize, b as usize));
-    order
-}
-
-/// The depth-first evaluation order of the genome trie over `mappings`
-/// — what [`EvalOrder::PrefixTrie`] walks: indices sorted
-/// lexicographically by device assignment projected onto ascending
-/// earliest-read node order.  Candidates adjacent in this order share
-/// the longest genome prefix available in the batch, which is exactly
-/// the schedule prefix a rolling checkpoint trail can reuse.
-///
-/// Exposed for the property suite: the result is always a permutation
-/// of `0 .. mappings.len()`, and it is deterministic (stable sort over
-/// deterministic keys).
-pub fn trie_order(tables: &EvalTables<'_>, mappings: &[&Mapping]) -> Vec<usize> {
-    if mappings.is_empty() {
-        return Vec::new();
-    }
-    let scan = scan_nodes(tables);
-    let mut scan_rank = vec![0u32; scan.len()];
-    for (j, &v) in scan.iter().enumerate() {
-        scan_rank[v as usize] = j as u32;
-    }
-    // Any reference induces the same order (see [`SparseProj`]); the
-    // first mapping is as good as any.
-    let proj = SparseProj::build(&scan_rank, mappings, mappings[0]);
-    sort_trie(&proj).into_iter().map(|i| i as usize).collect()
-}
-
-/// Where one planned candidate simulation restores its prefix state
-/// from.  Decided entirely on the serial planning path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SimSrc {
-    /// Full replay from the shared all-zero snapshot.
-    Zero,
-    /// Windowed from the cached base trail in this cache slot.
-    Base(usize),
-    /// Windowed from the worker's rolling trie trail.
-    Rolling,
-}
-
 /// The population evaluation engine: shared immutable [`EvalTables`],
 /// a bounded fitness memo, the cross-batch trail cache, and one
-/// simulation scratch (plus rolling trail) per worker.
+/// simulation scratch per worker.
 pub struct PopulationEval<'g> {
     tables: EvalTables<'g>,
     threads: usize,
-    workers: WorkerStates<PopWorker>,
+    workers: WorkerStates<EvalScratch>,
     memo: BoundedMemo<u128>,
     trails: TrailCache,
-    order: EvalOrder,
-    /// Node ids sorted by `(earliest read position, id)` — the trie's
-    /// scan order, inverted (`scan_rank[node] = rank` — see
-    /// [`scan_nodes`]).
-    scan_rank: Vec<u32>,
-    /// Earliest-read pop position per scan rank
-    /// (`scan_pos[j] = earliest_read_pos(scan[j])`, nondecreasing):
-    /// turns a first-differing scan rank into its LCP window start.
-    scan_pos: Vec<u32>,
-    /// Shape/interval oracle of the per-worker rolling trails: the
-    /// planner predicts restore snapshot indices through this template
-    /// (same constructor as the worker trails, so the clamping
-    /// arithmetic can never drift from execution).
-    roll_template: ScheduleCheckpoints,
     /// The all-zero snapshot — the shared initial state of every
     /// simulation.  Candidates without a usable window restore it at
     /// position 0: a full-length replay through the precomputed pop
@@ -573,44 +330,20 @@ impl<'g> PopulationEval<'g> {
     /// Build the evaluator for one `(graph, platform)` pair.
     pub fn new(graph: &'g TaskGraph, platform: &'g Platform, cfg: PopulationConfig) -> Self {
         let tables = EvalTables::with_numbering(graph, platform, cfg.numbering);
-        let threads = match cfg.threads {
-            Some(n) => n.max(1),
-            None => {
-                let cores = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                spmap_par::num_threads().clamp(1, cores)
-            }
-        };
+        let threads = resolve_threads(cfg.threads);
         let n = graph.node_count();
         let m = platform.device_count();
         let every = ScheduleCheckpoints::auto_interval_for(n, cfg.checkpoint_budget_bytes);
-        // Rolling trails and the zero trail may use the suffix-sparse
-        // layout whenever the tables are pop-order numbered — the
-        // population engine only ever replays the BFS order.
+        // The zero trail may use the suffix-sparse layout whenever the
+        // tables are pop-order numbered — the population engine only
+        // ever replays the BFS order.
         let suffix = tables.suffix_windows() && !cfg.dense_checkpoints;
-        let workers = WorkerStates::new(threads, |_| PopWorker {
-            scratch: EvalScratch::for_tables(&tables),
-            rolling: ScheduleCheckpoints::zeroed_with_layout(n, m, every, suffix),
-        });
-        let scan = scan_nodes(&tables);
-        let scan_pos = scan
-            .iter()
-            .map(|&v| tables.earliest_read_pos(NodeId(v)) as u32)
-            .collect();
-        let mut scan_rank = vec![0u32; scan.len()];
-        for (j, &v) in scan.iter().enumerate() {
-            scan_rank[v as usize] = j as u32;
-        }
+        let workers = WorkerStates::new(threads, |_| EvalScratch::for_tables(&tables));
         Self {
             threads,
             workers,
             memo: BoundedMemo::new(cfg.memo_capacity),
             trails: TrailCache::new(n, every, cfg.trail_cache_capacity, cfg.dense_checkpoints),
-            order: cfg.order,
-            scan_pos,
-            scan_rank,
-            roll_template: ScheduleCheckpoints::zeroed_with_layout(n, m, every, suffix),
             zero_trail: ScheduleCheckpoints::zeroed_with_layout(n, m, n + 1, suffix),
             stats: PopulationStats::default(),
             dispatch_base: spmap_par::dispatch_stats(),
@@ -655,30 +388,18 @@ impl<'g> PopulationEval<'g> {
     }
 
     /// Largest single checkpoint trail (bytes) the engine currently
-    /// holds — cached base trails, per-worker rolling trails and the
-    /// zero trail.  Trail shapes are fixed once recorded, so this is
-    /// the run's peak; it is the per-trail number
-    /// `PopulationConfig::checkpoint_budget_bytes` gates.
+    /// holds — cached base trails and the zero trail.  Trail shapes
+    /// are fixed once recorded, so this is the run's peak; it is the
+    /// per-trail number `PopulationConfig::checkpoint_budget_bytes`
+    /// gates.
     pub fn checkpoint_peak_bytes(&self) -> u64 {
-        let rolling = self
-            .workers
-            .iter()
-            .map(|w| w.rolling.byte_len())
-            .max()
-            .unwrap_or(0);
-        self.trails
-            .peak_bytes()
-            .max(rolling)
-            .max(self.zero_trail.byte_len()) as u64
+        self.trails.peak_bytes().max(self.zero_trail.byte_len()) as u64
     }
 
     /// Total simulations run so far (all workers; trail recordings and
     /// windowed replays both count one each).
     pub fn evaluations(&self) -> u64 {
-        self.workers
-            .iter()
-            .map(|w| w.scratch.stats().evaluations)
-            .sum()
+        self.workers.iter().map(|w| w.stats().evaluations).sum()
     }
 
     /// Total schedule positions stepped so far (all workers) — the
@@ -686,10 +407,7 @@ impl<'g> PopulationEval<'g> {
     /// rounding; `evaluations * n - positions` is what the windows
     /// actually saved.
     pub fn positions(&self) -> u64 {
-        self.workers
-            .iter()
-            .map(|w| w.scratch.stats().positions)
-            .sum()
+        self.workers.iter().map(|w| w.stats().positions).sum()
     }
 
     /// Evaluate one batch of candidates (typically a GA generation)
@@ -700,13 +418,12 @@ impl<'g> PopulationEval<'g> {
     /// Every returned makespan is bit-identical to a from-scratch
     /// `makespan_bfs` of the candidate's mapping: memo entries are pure
     /// values, coalesced duplicates share a fingerprint (hence a
-    /// mapping), and every windowed replay — from a cached base trail
-    /// or from a rolling trie trail — restores the exact prefix state
-    /// of a schedule that agrees with the candidate before the window
-    /// start (docs/PERF.md).  All memo reads/writes, the whole trie
-    /// plan and every trail decision happen on this (serial) calling
-    /// path, so results, statistics, memo and cache state are thread-
-    /// and backend-invariant.
+    /// mapping), and every windowed replay restores the exact prefix
+    /// state of a base schedule that agrees with the candidate before
+    /// the window start (docs/PERF.md).  All memo reads/writes and
+    /// every trail decision happen on this (serial) calling path, so
+    /// results, statistics, memo and cache state are thread- and
+    /// backend-invariant.
     pub fn evaluate(
         &mut self,
         bases: &[PopBase<'_>],
@@ -738,10 +455,10 @@ impl<'g> PopulationEval<'g> {
             };
             pending.push((i, from_pos));
         }
-        // Area feasibility on the serial path: the planners must know
-        // which candidates simulate at all (an infeasible candidate
-        // cannot anchor a rolling chain), and the verdict is cheap
-        // next to a simulation.
+        // Area feasibility on the serial path: only candidates that
+        // will simulate may credit their window to a base's trail
+        // recording gain, and the verdict is cheap next to a
+        // simulation.
         let mut feas: Vec<(usize, usize)> = Vec::with_capacity(pending.len());
         for &(i, from_pos) in &pending {
             if self.tables.area_feasible(cands[i].mapping) {
@@ -751,10 +468,7 @@ impl<'g> PopulationEval<'g> {
             }
         }
         if !feas.is_empty() {
-            match self.order {
-                EvalOrder::NearestBase => self.evaluate_nearest(bases, cands, &feas, &mut results),
-                EvalOrder::PrefixTrie => self.evaluate_trie(bases, cands, &feas, &mut results),
-            }
+            self.simulate(bases, cands, &feas, &mut results);
         }
         for (i, first) in dups {
             results[i] = results[first];
@@ -764,14 +478,12 @@ impl<'g> PopulationEval<'g> {
 
     /// Look up cached trails for every base referenced in `refs` and
     /// record new ones where the summed window gain clears the
-    /// recording gate.  `refs` holds one `(base, gain)` pair per
-    /// planned window: `gain` is the pop-position saving the caller
-    /// attributes to this base *if a trail had to be freshly recorded*
-    /// (both orders credit the candidate's full base window, so trail
-    /// availability never depends on the order policy).  Returns the
-    /// usable trail slot per base.  All
-    /// cache decisions stay on this serial path; only the recordings
-    /// themselves run in parallel.
+    /// recording gate.  `refs` holds one `(base, window start)` pair
+    /// per feasible candidate windowed against that base; the window
+    /// start is the pop-position saving the candidate credits to a
+    /// freshly recorded trail.  Returns the usable trail slot per base.
+    /// All cache decisions stay on this serial path; only the
+    /// recordings themselves run in parallel.
     fn resolve_trails(
         &mut self,
         bases: &[PopBase<'_>],
@@ -784,15 +496,13 @@ impl<'g> PopulationEval<'g> {
         for &(b, _) in refs {
             referenced[b] = true;
         }
-        // Look up cached trails in ascending *base index* order, not in
-        // `refs` order: the LRU clock stamps every lookup, and the two
-        // evaluation orders present the same reference set in different
-        // sequences.  A canonical lookup order makes the cache's stamp
-        // sequence — and with it every future eviction — identical
-        // across orders, which is what turns "the trie windows from
-        // `max(LCP, base window)`" into a real never-steps-more
-        // guarantee (the gate in perf_report) instead of a
-        // same-trail-set assumption.
+        // Look up cached trails once per referenced base, in ascending
+        // *base index* order rather than in `refs` order: the LRU clock
+        // stamps every lookup, so a canonical lookup order makes the
+        // cache's stamp sequence — and with it every future eviction —
+        // a function of the set of bases the batch references, not of
+        // how many candidates reference each base or in which order
+        // they arrive.
         for (b, &refd) in referenced.iter().enumerate() {
             if refd {
                 trail_slot[b] = self.trails.get(bases[b].fingerprint);
@@ -810,7 +520,6 @@ impl<'g> PopulationEval<'g> {
         for slot in trail_slot.iter().flatten() {
             pinned[*slot] = true;
         }
-        let every = self.roll_template.every();
         let mut record: Vec<(usize, usize)> = Vec::new(); // (base, slot)
         let mut aliases: Vec<(usize, usize)> = Vec::new(); // duplicate-fp bases
         for b in 0..bases.len() {
@@ -824,10 +533,7 @@ impl<'g> PopulationEval<'g> {
                 aliases.push((b, slot));
                 continue;
             }
-            if let Some(slot) = self
-                .trails
-                .reserve(bases[b].fingerprint, every, &mut pinned)
-            {
+            if let Some(slot) = self.trails.reserve(bases[b].fingerprint, &mut pinned) {
                 pinned[slot] = true;
                 record.push((b, slot));
             }
@@ -844,7 +550,7 @@ impl<'g> PopulationEval<'g> {
                     .write()
                     .expect("trail recording never panics");
                 tables.makespan_order_checkpointed(
-                    &mut w.scratch,
+                    w,
                     bases[b].mapping,
                     tables.bfs_order(),
                     &mut store,
@@ -878,10 +584,10 @@ impl<'g> PopulationEval<'g> {
         trail_slot
     }
 
-    /// The flat PR 3 evaluation order ([`EvalOrder::NearestBase`]):
-    /// every feasible candidate independently windows against its
-    /// nearest cached base trail, or replays from the zero state.
-    fn evaluate_nearest(
+    /// Simulate the feasible pending candidates: every candidate
+    /// independently windows against its nearest cached base trail,
+    /// or replays from the zero state.
+    fn simulate(
         &mut self,
         bases: &[PopBase<'_>],
         cands: &[DeltaCandidate<'_>],
@@ -917,13 +623,8 @@ impl<'g> PopulationEval<'g> {
                     // zero state — still heap-free through the pop order.
                     None => (zero_trail, 0),
                 };
-                match tables.makespan_bfs_window(
-                    &mut w.scratch,
-                    cands[i].mapping,
-                    ckpt,
-                    from_pos,
-                    f64::INFINITY,
-                ) {
+                match tables.makespan_bfs_window(w, cands[i].mapping, ckpt, from_pos, f64::INFINITY)
+                {
                     WindowSim::Done(ms) => ms,
                     WindowSim::Cutoff => {
                         unreachable!("no cutoff under an infinite bound")
@@ -940,247 +641,6 @@ impl<'g> PopulationEval<'g> {
             }
             self.memo.insert(cands[i].fingerprint, ms);
             results[i] = Some(ms);
-        }
-    }
-
-    /// The prefix-sharing trie order ([`EvalOrder::PrefixTrie`]).
-    ///
-    /// Phases, all serial except the simulations themselves:
-    ///
-    /// 1. sort the feasible candidates into the trie's DFS order and
-    ///    compute each DFS neighbor pair's exact LCP window start;
-    /// 2. split the DFS sequence into `ceil(k / TRIE_CHAIN_TARGET)`
-    ///    chains, breaking at the boundaries with the smallest
-    ///    window-depth loss;
-    /// 3. resolve/record cached base trails with the flat order's
-    ///    exact gain arithmetic (so trail availability — and the
-    ///    recording cost — matches the flat policy);
-    /// 4. plan every candidate's restore source —
-    ///    `max(LCP, base window)` — plus the exact set of rolling
-    ///    snapshots each replay must re-record for its successors
-    ///    (the owner argument in docs/PERF.md);
-    /// 5. execute the chains in parallel (one rolling trail per
-    ///    worker, reset implicitly: a chain root never reads it);
-    /// 6. fold stats/memo/results serially in DFS order.
-    fn evaluate_trie(
-        &mut self,
-        bases: &[PopBase<'_>],
-        cands: &[DeltaCandidate<'_>],
-        feas: &[(usize, usize)],
-        results: &mut [Option<f64>],
-    ) {
-        // 1. DFS order + LCP window starts, through sparse diff lists
-        // against the batch's fittest base (the elite a converged
-        // population clusters around): near-identical genomes compare
-        // in O(diff) instead of O(n).
-        let n = self.tables.node_count();
-        let maps: Vec<&Mapping> = feas.iter().map(|&(i, _)| cands[i].mapping).collect();
-        let rmap = if bases.is_empty() {
-            maps[0]
-        } else {
-            bases[0].mapping
-        };
-        let proj = SparseProj::build(&self.scan_rank, &maps, rmap);
-        let order = sort_trie(&proj);
-        let k_total = order.len();
-        let mut lcp = vec![0usize; k_total]; // lcp[k] valid for k >= 1
-        for k in 1..k_total {
-            lcp[k] = match proj.first_diff_rank(order[k - 1] as usize, order[k] as usize) {
-                Some(rank) => self.scan_pos[rank as usize] as usize,
-                None => n,
-            };
-        }
-        // 2. Chain partition: `item_count` is a pure function of the
-        // batch (never of threads/backend), so the plan is invariant.
-        let item_count = k_total.div_ceil(TRIE_CHAIN_TARGET).max(1);
-        let mut root = vec![false; k_total];
-        root[0] = true;
-        if item_count > 1 {
-            let mut cost: Vec<(usize, usize)> = (1..k_total)
-                .map(|k| {
-                    let (i, w) = feas[order[k] as usize];
-                    let w = if cands[i].base.is_some() { w } else { 0 };
-                    (lcp[k].saturating_sub(w), k)
-                })
-                .collect();
-            cost.sort_unstable();
-            for &(_, k) in cost.iter().take(item_count - 1) {
-                root[k] = true;
-            }
-        }
-        for k in 1..k_total {
-            if !root[k] {
-                self.stats.trie_members += 1;
-                self.stats.trie_lcp_positions += lcp[k] as u64;
-            }
-        }
-        // 3. Base trails.  Every candidate credits its full base
-        // window — the *same* gain arithmetic as the flat order — so
-        // the trie sees the exact trail set the flat policy would
-        // have, and `max(LCP, base window)` per candidate makes its
-        // total skipped work a true superset of the flat order's.
-        let refs: Vec<(usize, usize)> = (0..k_total)
-            .filter_map(|k| {
-                let (i, w) = feas[order[k] as usize];
-                cands[i].base.map(|b| (b, w))
-            })
-            .collect();
-        let trail_slot = self.resolve_trails(bases, &refs);
-        // 4. Per-candidate plan.  `valid_lo` is the restore snapshot of
-        // the chain's last non-rolling candidate: rolling snapshots at
-        // or above it are (re)creatable by the segment, anything below
-        // would read prefix state the segment never computed.  Each
-        // rolling restore is assigned an *owner* — the latest segment
-        // candidate whose replay covers the restored snapshot — which
-        // re-records exactly that snapshot in passing (extend/truncate
-        // in place; the exactness argument lives in docs/PERF.md).
-        let mut plan_src = vec![SimSrc::Zero; k_total];
-        let mut plan_from = vec![0u32; k_total];
-        // The best non-rolling window each candidate had (its base
-        // window, or 0): `from - alt` of a rolling replay is the
-        // ordering's marginal saving (`prefix_shared_positions`).
-        let mut plan_alt = vec![0u32; k_total];
-        let mut plan_rec: Vec<Vec<u32>> = vec![Vec::new(); k_total];
-        let mut item_ranges: Vec<(usize, usize)> = Vec::new();
-        {
-            let mut valid_lo = usize::MAX;
-            let mut seg: Vec<(usize, usize)> = Vec::new(); // (restore snapshot, k)
-            let mut item_start = 0usize;
-            for k in 0..k_total {
-                if root[k] {
-                    if k > 0 {
-                        item_ranges.push((item_start, k));
-                    }
-                    item_start = k;
-                    valid_lo = usize::MAX;
-                    seg.clear();
-                }
-                let (i, w0) = feas[order[k] as usize];
-                let base = cands[i].base.and_then(|b| trail_slot[b]);
-                let w = if base.is_some() { w0 } else { 0 };
-                let roll_ok = !root[k]
-                    && !seg.is_empty()
-                    && self.roll_template.snapshot_index(lcp[k]) >= valid_lo;
-                let (src, from) = if roll_ok && lcp[k] > 0 && lcp[k] >= w {
-                    (SimSrc::Rolling, lcp[k])
-                } else if w > 0 {
-                    (SimSrc::Base(base.expect("w > 0 only with a trail")), w)
-                } else {
-                    (SimSrc::Zero, 0)
-                };
-                let r = self.roll_template.snapshot_index(from);
-                match src {
-                    SimSrc::Rolling => {
-                        let &(owner_r, owner) = seg
-                            .iter()
-                            .rev()
-                            .find(|&&(rm, _)| rm <= r)
-                            .expect("the segment head covers every admissible restore");
-                        // A redundant record: when the owner itself
-                        // *rolling-restored from this very snapshot*,
-                        // its content is already the shared prefix
-                        // state this restore needs (the owner read it
-                        // and never overwrites it unless listed) —
-                        // skip the copy.
-                        if !(owner_r == r && plan_src[owner] == SimSrc::Rolling) {
-                            plan_rec[owner].push(r as u32);
-                        }
-                        seg.push((r, k));
-                    }
-                    SimSrc::Base(_) | SimSrc::Zero => {
-                        valid_lo = r;
-                        seg.clear();
-                        seg.push((r, k));
-                    }
-                }
-                plan_src[k] = src;
-                plan_from[k] = from as u32;
-                plan_alt[k] = w as u32;
-            }
-            item_ranges.push((item_start, k_total));
-        }
-        for rec in &mut plan_rec {
-            rec.sort_unstable();
-            rec.dedup();
-        }
-        // 5. Execute the chains in parallel; chain k's plan is fully
-        // determined, workers only follow it.
-        let tables = &self.tables;
-        let trails = &self.trails;
-        let zero_trail = &self.zero_trail;
-        let (plan_src_r, plan_from_r, plan_rec_r) = (&plan_src, &plan_from, &plan_rec);
-        let (order_r, feas_r) = (&order, feas);
-        let sims: Vec<Vec<f64>> = par_map_with_threads(
-            self.threads,
-            &mut self.workers,
-            &item_ranges,
-            |w, _, item| {
-                let &(lo, hi) = item;
-                (lo..hi)
-                    .map(|k| {
-                        let (i, _) = feas_r[order_r[k] as usize];
-                        let mapping = cands[i].mapping;
-                        let from = plan_from_r[k] as usize;
-                        let rec = &plan_rec_r[k];
-                        match plan_src_r[k] {
-                            SimSrc::Zero => tables.makespan_order_window_recording(
-                                &mut w.scratch,
-                                mapping,
-                                tables.bfs_order(),
-                                Some(zero_trail),
-                                &mut w.rolling,
-                                0,
-                                rec,
-                            ),
-                            SimSrc::Base(slot) => {
-                                let store = trails.stores[slot]
-                                    .read()
-                                    .expect("trail readers never panic");
-                                tables.makespan_order_window_recording(
-                                    &mut w.scratch,
-                                    mapping,
-                                    tables.bfs_order(),
-                                    Some(&*store),
-                                    &mut w.rolling,
-                                    from,
-                                    rec,
-                                )
-                            }
-                            SimSrc::Rolling => tables.makespan_order_window_recording(
-                                &mut w.scratch,
-                                mapping,
-                                tables.bfs_order(),
-                                None,
-                                &mut w.rolling,
-                                from,
-                                rec,
-                            ),
-                        }
-                    })
-                    .collect()
-            },
-        );
-        // 6. Serial wrap-up in DFS order: stats, memo, results.
-        for (&(lo, hi), chain) in item_ranges.iter().zip(&sims) {
-            for (k, &ms) in (lo..hi).zip(chain) {
-                let (i, _) = feas[order[k] as usize];
-                let from = plan_from[k] as u64;
-                match plan_src[k] {
-                    SimSrc::Zero => self.stats.full_sims += 1,
-                    SimSrc::Base(_) => {
-                        self.stats.windowed_sims += 1;
-                        self.stats.windowed_skip += from;
-                    }
-                    SimSrc::Rolling => {
-                        self.stats.windowed_sims += 1;
-                        self.stats.windowed_skip += from;
-                        self.stats.rolling_sims += 1;
-                        self.stats.prefix_shared_positions += from - plan_alt[k] as u64;
-                    }
-                }
-                self.memo.insert(cands[i].fingerprint, ms);
-                results[i] = Some(ms);
-            }
         }
     }
 }
@@ -1269,89 +729,37 @@ mod tests {
         for seed in [1u64, 5, 9] {
             let (g, p) = setup(seed);
             let (bases, children) = zoo(&g);
-            for order in [EvalOrder::PrefixTrie, EvalOrder::NearestBase] {
-                for threads in [1usize, 4] {
-                    let mut pe = PopulationEval::new(
-                        &g,
-                        &p,
-                        PopulationConfig {
-                            threads: Some(threads),
-                            order,
-                            ..PopulationConfig::default()
-                        },
-                    );
-                    let bases_v = base_refs(&bases);
-                    let cands = cand_refs(&g, &p, &children);
-                    let got = pe.evaluate(&bases_v, &cands);
-                    let mut ev = Evaluator::new(&g, &p);
-                    for (c, r) in children.iter().zip(&got) {
-                        assert_eq!(
-                            *r,
-                            ev.makespan_bfs(&c.1),
-                            "seed {seed} t{threads} {order:?}: population fitness drifted"
-                        );
-                    }
-                    // A second pass over the same candidates is pure memo.
-                    let sims_before = pe.stats().full_sims + pe.stats().windowed_sims;
-                    let again = pe.evaluate(&bases_v, &cands);
-                    assert_eq!(got, again);
-                    assert_eq!(
-                        pe.stats().full_sims + pe.stats().windowed_sims,
-                        sims_before,
-                        "second pass must be memo-only"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn trie_and_nearest_orders_agree_and_trie_never_replays_more() {
-        for seed in [2u64, 7, 12] {
-            let (g, p) = setup(seed);
-            let (bases, children) = zoo(&g);
-            let bases_v = base_refs(&bases);
-            let cands = cand_refs(&g, &p, &children);
-            let run = |order: EvalOrder| {
+            for threads in [1usize, 4] {
                 let mut pe = PopulationEval::new(
                     &g,
                     &p,
                     PopulationConfig {
-                        threads: Some(2),
-                        order,
+                        threads: Some(threads),
                         ..PopulationConfig::default()
                     },
                 );
-                let out = pe.evaluate(&bases_v, &cands);
-                (out, pe.stats())
-            };
-            let (trie, trie_stats) = run(EvalOrder::PrefixTrie);
-            let (flat, flat_stats) = run(EvalOrder::NearestBase);
-            assert_eq!(trie, flat, "seed {seed}: order changed a fitness value");
-            // Per candidate the trie windows from max(LCP, base window),
-            // so its total skipped work can only match or beat the flat
-            // policy's on the same batch.
-            assert!(
-                trie_stats.windowed_skip >= flat_stats.windowed_skip,
-                "seed {seed}: trie skipped less than flat ({trie_stats:?} vs {flat_stats:?})"
-            );
+                let bases_v = base_refs(&bases);
+                let cands = cand_refs(&g, &p, &children);
+                let got = pe.evaluate(&bases_v, &cands);
+                let mut ev = Evaluator::new(&g, &p);
+                for (c, r) in children.iter().zip(&got) {
+                    assert_eq!(
+                        *r,
+                        ev.makespan_bfs(&c.1),
+                        "seed {seed} t{threads}: population fitness drifted"
+                    );
+                }
+                // A second pass over the same candidates is pure memo.
+                let sims_before = pe.stats().full_sims + pe.stats().windowed_sims;
+                let again = pe.evaluate(&bases_v, &cands);
+                assert_eq!(got, again);
+                assert_eq!(
+                    pe.stats().full_sims + pe.stats().windowed_sims,
+                    sims_before,
+                    "second pass must be memo-only"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn trie_order_is_a_permutation_and_deterministic() {
-        let (g, p) = setup(4);
-        let (_, children) = zoo(&g);
-        let tables = EvalTables::new(&g, &p);
-        let maps: Vec<&Mapping> = children.iter().map(|(_, m, _)| m).collect();
-        let order = trie_order(&tables, &maps);
-        let mut seen = vec![false; maps.len()];
-        for &k in &order {
-            assert!(!seen[k], "trie order visits candidate {k} twice");
-            seen[k] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "trie order misses a candidate");
-        assert_eq!(order, trie_order(&tables, &maps), "order must be stable");
     }
 
     #[test]
@@ -1403,14 +811,13 @@ mod tests {
             .iter()
             .map(|(_, ch)| tables.earliest_read_pos(ch[0]))
             .sum();
-        // The flat order credits a fresh trail with every child's full
-        // window — the recording-gate arithmetic this test pins.
+        // A fresh trail is credited with every child's full window —
+        // the recording-gate arithmetic this test pins.
         let mut pe = PopulationEval::new(
             &g,
             &p,
             PopulationConfig {
                 threads: Some(1),
-                order: EvalOrder::NearestBase,
                 ..PopulationConfig::default()
             },
         );
@@ -1478,34 +885,31 @@ mod tests {
         }
         let bases_v = base_refs(&bases);
         let cands = cand_refs(&g, &p, &children);
-        for order in [EvalOrder::PrefixTrie, EvalOrder::NearestBase] {
-            let mut pe = PopulationEval::new(
-                &g,
-                &p,
-                PopulationConfig {
-                    threads: Some(2),
-                    trail_cache_capacity: 3,
-                    order,
-                    ..PopulationConfig::default()
-                },
-            );
-            let mut ev = Evaluator::new(&g, &p);
-            for round in 0..3 {
-                let got = pe.evaluate(&bases_v, &cands);
-                for ((_, m, _), r) in children.iter().zip(&got) {
-                    assert_eq!(*r, ev.makespan_bfs(m), "round {round} {order:?}");
-                }
+        let mut pe = PopulationEval::new(
+            &g,
+            &p,
+            PopulationConfig {
+                threads: Some(2),
+                trail_cache_capacity: 3,
+                ..PopulationConfig::default()
+            },
+        );
+        let mut ev = Evaluator::new(&g, &p);
+        for round in 0..3 {
+            let got = pe.evaluate(&bases_v, &cands);
+            for ((_, m, _), r) in children.iter().zip(&got) {
+                assert_eq!(*r, ev.makespan_bfs(m), "round {round}");
             }
-            let stats = pe.stats();
-            assert!(
-                stats.trails_recorded <= 3,
-                "{order:?}: at most capacity trails per batch, and round 2+ is memo-only: {stats:?}"
-            );
-            assert!(
-                stats.trail_peak <= 3,
-                "{order:?}: trail cache outgrew its capacity: {stats:?}"
-            );
         }
+        let stats = pe.stats();
+        assert!(
+            stats.trails_recorded <= 3,
+            "at most capacity trails per batch, and round 2+ is memo-only: {stats:?}"
+        );
+        assert!(
+            stats.trail_peak <= 3,
+            "trail cache outgrew its capacity: {stats:?}"
+        );
     }
 
     #[test]
@@ -1564,20 +968,17 @@ mod tests {
                 window_start: 0,
             },
         ];
-        for order in [EvalOrder::PrefixTrie, EvalOrder::NearestBase] {
-            let mut pe = PopulationEval::new(
-                &g2,
-                &p,
-                PopulationConfig {
-                    threads: Some(1),
-                    order,
-                    ..PopulationConfig::default()
-                },
-            );
-            let got = pe.evaluate(&[], &cands);
-            assert_eq!(got[0], None, "{order:?}: infeasible must be None");
-            assert!(got[1].is_some(), "{order:?}: feasible must evaluate");
-            assert_eq!(pe.stats().infeasible, 1, "{order:?}: {:?}", pe.stats());
-        }
+        let mut pe = PopulationEval::new(
+            &g2,
+            &p,
+            PopulationConfig {
+                threads: Some(1),
+                ..PopulationConfig::default()
+            },
+        );
+        let got = pe.evaluate(&[], &cands);
+        assert_eq!(got[0], None, "infeasible must be None");
+        assert!(got[1].is_some(), "feasible must evaluate");
+        assert_eq!(pe.stats().infeasible, 1, "{:?}", pe.stats());
     }
 }

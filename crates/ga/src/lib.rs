@@ -25,13 +25,11 @@
 //! parallel population engine (`spmap_core::PopulationEval`): offspring
 //! are described as deltas against their prefix parent (fingerprints
 //! maintained in `O(k)` per child), fitness values memoize across
-//! generations under the mapping-content memo, and the engine walks
-//! each generation's offspring in a prefix-sharing genome-trie order
-//! (`EvalOrder::PrefixTrie`) — siblings sharing a genome prefix replay
-//! only their divergent schedule suffix off one rolling checkpoint
-//! trail, falling back to the nearest cached base trail wherever that
-//! windows deeper — and surviving simulations run in parallel over the
-//! trie's subtrees.  None of that can change
+//! generations under the mapping-content memo, each offspring replays
+//! only the schedule suffix after its window start off the cached
+//! checkpoint trail of its nearest base (a parent or one of the fittest
+//! survivors), and the surviving simulations of a generation run in
+//! parallel.  None of that can change
 //! a fitness bit — the simulator is a pure function of the mapping — so
 //! the run is **bit-identical per seed** to [`nsga2_map_reference`],
 //! the original strictly serial implementation kept as the executable
@@ -43,7 +41,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use spmap_core::{
-    DeltaCandidate, DispatchStats, EvalOrder, Numbering, PopBase, PopulationConfig, PopulationEval,
+    DeltaCandidate, DispatchStats, Numbering, PopBase, PopulationConfig, PopulationEval,
     PopulationStats,
 };
 use spmap_graph::{ops, NodeId, TaskGraph};
@@ -73,12 +71,6 @@ pub struct GaConfig {
     /// engine's memory-budget heuristic).  Eviction only ever costs
     /// re-simulation — it cannot change a result.
     pub trail_cache_capacity: usize,
-    /// Evaluation-order policy of the engine-backed path: the
-    /// prefix-sharing trie order (default) or the flat nearest-base
-    /// order kept as the PR 3 executable spec.  Either way every
-    /// fitness bit matches [`nsga2_map_reference`]; only the amount of
-    /// schedule replayed per offspring differs.
-    pub eval_order: EvalOrder,
     /// Node numbering of the engine's evaluation tables (layout only —
     /// results are bit-identical; see `spmap_core::Numbering`).
     pub numbering: Numbering,
@@ -103,7 +95,6 @@ impl Default for GaConfig {
             threads: None,
             memo_capacity: spmap_core::DEFAULT_MEMO_CAPACITY,
             trail_cache_capacity: 0,
-            eval_order: EvalOrder::PrefixTrie,
             numbering: Numbering::default(),
             dense_checkpoints: false,
             checkpoint_budget_bytes: 0,
@@ -331,7 +322,6 @@ pub fn nsga2_map(graph: &TaskGraph, platform: &Platform, cfg: &GaConfig) -> GaRe
             threads: cfg.threads,
             memo_capacity: cfg.memo_capacity,
             trail_cache_capacity: cfg.trail_cache_capacity,
-            order: cfg.eval_order,
             numbering: cfg.numbering,
             dense_checkpoints: cfg.dense_checkpoints,
             checkpoint_budget_bytes: cfg.checkpoint_budget_bytes,

@@ -688,8 +688,8 @@ impl<'g> EvalTables<'g> {
     /// — for any fixed schedule, not just the breadth-first one.
     ///
     /// `inline(always)`: every window/replay variant spends its whole
-    /// life in this step; an out-of-line call (the inliner bails on the
-    /// two-loop recording replay) costs measurable ns/position.
+    /// life in this step; an out-of-line call costs measurable
+    /// ns/position.
     #[inline(always)]
     fn sim_step(
         &self,
@@ -895,100 +895,6 @@ impl<'g> EvalTables<'g> {
             scratch.stats.positions += (n - start_pos) as u64;
             WindowSim::Done(makespan)
         })
-    }
-
-    /// Windowed replay that *extends a rolling checkpoint trail* while
-    /// it simulates: restore the snapshot covering `from_pos` from
-    /// `src` — or from `rolling` itself when `src` is `None` — then
-    /// replay the suffix, re-recording into `rolling` exactly the
-    /// snapshots listed in `record` (ascending indices on `rolling`'s
-    /// interval grid, all within the replayed range).
-    ///
-    /// This is the primitive behind the population engine's
-    /// prefix-sharing trie order (docs/PERF.md): a depth-first chain of
-    /// candidates keeps one rolling trail per branch.  *Truncate to
-    /// position* on backtrack is implicit — stale suffix snapshots are
-    /// only ever read after being re-recorded (the engine's serial
-    /// planner proves which snapshots are live for which candidate) —
-    /// and *extend in place* costs one `O(V)` memcpy per listed
-    /// snapshot instead of a fresh full trail.
-    ///
-    /// Exactness: the replay runs the exact single-step arithmetic of
-    /// [`Self::makespan_with_ranks`], so the result is bit-identical to
-    /// a from-scratch simulation of `mapping` whenever the restored
-    /// snapshot's originating mapping agrees with `mapping` on every
-    /// task read before `from_pos`.  The caller must precheck FPGA-area
-    /// feasibility and guarantee that agreement; `rolling` must be
-    /// shaped for this graph/platform (e.g. via
-    /// [`ScheduleCheckpoints::zeroed`]).  There is no cutoff — the
-    /// population engine's fitness calls always complete.
-    #[allow(clippy::too_many_arguments)]
-    pub fn makespan_order_window_recording(
-        &self,
-        scratch: &mut EvalScratch,
-        mapping: &Mapping,
-        order: &OrderTables,
-        src: Option<&ScheduleCheckpoints>,
-        rolling: &mut ScheduleCheckpoints,
-        from_pos: usize,
-        record: &[u32],
-    ) -> f64 {
-        let n = self.node_count();
-        debug_assert_eq!(mapping.len(), n);
-        debug_assert!(self.area_feasible(mapping), "caller prechecks area");
-        let seq = self.seq_order(order);
-        assert!(
-            !rolling.suffix || seq,
-            "suffix-sparse trails can only record the tables' own pop order"
-        );
-        if let Some(t) = src {
-            assert!(
-                !t.suffix || seq,
-                "suffix-sparse snapshots can only replay the tables' own pop order"
-            );
-        }
-        scratch.stats.evaluations += 1;
-        let (start_pos, mut makespan) = match src {
-            Some(t) => {
-                let s = t.restore(from_pos, scratch);
-                (s, t.makespan[s / t.every])
-            }
-            None => {
-                let s = rolling.restore(from_pos, scratch);
-                (s, rolling.makespan[s / rolling.every])
-            }
-        };
-        scratch.stats.positions += (n - start_pos) as u64;
-        let pop_order = order.pop_order();
-        let mut dev_buf = std::mem::take(&mut scratch.devices);
-        let gather_from = if seq { start_pos } else { 0 };
-        let devices = self.internal_devices(&mut dev_buf, mapping, gather_from);
-        let every = rolling.every;
-        // Segment-wise replay: between two listed snapshots the inner
-        // loop is exactly the plain window loop — no per-position
-        // record check at all (record lists are short; most replays
-        // list zero or one snapshot).
-        let mut i = start_pos;
-        for &j in record {
-            let rpos = (j as usize) * every;
-            debug_assert!(
-                (start_pos..n).contains(&rpos),
-                "record list reaches outside the replayed range"
-            );
-            while i < rpos {
-                let v = self.pop_internal(seq, pop_order, i);
-                self.sim_step(scratch, devices, v, &mut makespan);
-                i += 1;
-            }
-            rolling.record(j as usize, scratch, makespan);
-        }
-        while i < n {
-            let v = self.pop_internal(seq, pop_order, i);
-            self.sim_step(scratch, devices, v, &mut makespan);
-            i += 1;
-        }
-        scratch.devices = dev_buf;
-        makespan
     }
 
     /// Breadth-first [`Self::makespan_order_window`].
@@ -1219,9 +1125,9 @@ impl ScheduleCheckpoints {
     }
 
     /// [`Self::zeroed`] with an explicit layout: `suffix = true` shapes
-    /// the store suffix-sparse, for rolling trails that will be
-    /// re-recorded in place by sequential replays
-    /// ([`EvalTables::makespan_order_window_recording`] asserts the
+    /// the store suffix-sparse, which only sequential replays of the
+    /// tables' own pop order may restore from
+    /// ([`EvalTables::makespan_order_window`] asserts the
     /// compatibility).
     pub fn zeroed_with_layout(n: usize, m: usize, every: usize, suffix: bool) -> Self {
         let mut s = Self::new(every);
@@ -1271,11 +1177,6 @@ impl ScheduleCheckpoints {
         self.every
     }
 
-    /// Number of snapshot slots of the current shape.
-    pub fn snapshot_count(&self) -> usize {
-        self.count
-    }
-
     /// `true` when the store currently uses the suffix-sparse layout.
     #[inline]
     pub fn is_suffix(&self) -> bool {
@@ -1295,11 +1196,9 @@ impl ScheduleCheckpoints {
     }
 
     /// The snapshot index a restore at `from_pos` resolves to — the
-    /// latest snapshot at or before that pop position.  Planners (the
-    /// population engine's trie order) use this to predict restore
-    /// points without touching the store.
+    /// latest snapshot at or before that pop position.
     #[inline]
-    pub fn snapshot_index(&self, from_pos: usize) -> usize {
+    fn snapshot_index(&self, from_pos: usize) -> usize {
         (from_pos / self.every).min(self.count - 1)
     }
 

@@ -297,188 +297,6 @@ fn multi_move_delta_window_covers_every_changed_node() {
     }
 }
 
-/// The prefix-sharing trie walk visits every offspring exactly once:
-/// for random candidate populations (including duplicates and
-/// clustered near-copies), `spmap_core::trie_order` returns a
-/// permutation of the candidate indices, deterministically — and
-/// adjacent candidates of the walk share at least as long a prefix
-/// with each other as with any *earlier* walk member (the sortedness
-/// property the rolling-trail chains rely on).
-#[test]
-fn trie_walk_visits_every_offspring_exactly_once() {
-    use spmap_core::trie_order;
-    use spmap_model::EvalTables;
-
-    let p = Platform::reference();
-    for case in 0..12u64 {
-        let nodes = 8 + (case * 11 % 40) as usize;
-        let seed = case * 97 + 3;
-        let mut g = random_sp_graph(&SpGenConfig::new(nodes, seed));
-        augment(&mut g, &AugmentConfig::default(), seed);
-        let n = g.node_count();
-        let tables = EvalTables::new(&g, &p);
-        // A clustered population: a few centers, each with near-copies
-        // (the converged-GA shape), plus exact duplicates.
-        let mut pop: Vec<Mapping> = Vec::new();
-        for c in 0..3u64 {
-            let center = Mapping::from_vec(
-                (0..n)
-                    .map(|i| DeviceId(((i as u64 * 5 + c * 7 + seed) % 2) as u32))
-                    .collect(),
-            );
-            pop.push(center.clone());
-            for t in 0..5u64 {
-                let mut m = center.clone();
-                let v = NodeId(((t * 13 + c * 29 + case) % n as u64) as u32);
-                m.set(v, DeviceId((m.device(v).0 + 1) % 2));
-                pop.push(m);
-            }
-        }
-        pop.push(pop[0].clone()); // exact duplicate
-        let refs: Vec<&Mapping> = pop.iter().collect();
-        let order = trie_order(&tables, &refs);
-        // Permutation: every candidate exactly once.
-        assert_eq!(order.len(), pop.len(), "case {case}");
-        let mut seen = vec![false; pop.len()];
-        for &k in &order {
-            assert!(!seen[k], "case {case}: candidate {k} visited twice");
-            seen[k] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "case {case}: candidate missed");
-        // Deterministic.
-        assert_eq!(order, trie_order(&tables, &refs), "case {case}");
-        // Sortedness: the walk neighbor shares the longest prefix.
-        let scan: Vec<NodeId> = {
-            let mut s: Vec<NodeId> = g.nodes().collect();
-            s.sort_by_key(|&v| (tables.earliest_read_pos(v), v.index()));
-            s
-        };
-        let lcp = |a: &Mapping, b: &Mapping| -> usize {
-            scan.iter()
-                .position(|&v| a.device(v) != b.device(v))
-                .unwrap_or(n)
-        };
-        for k in 1..order.len() {
-            let with_prev = lcp(&pop[order[k - 1]], &pop[order[k]]);
-            for e in 0..k - 1 {
-                assert!(
-                    lcp(&pop[order[e]], &pop[order[k]]) <= with_prev,
-                    "case {case}: walk position {k} shares more with earlier member {e} \
-                     than with its predecessor"
-                );
-            }
-        }
-    }
-}
-
-/// The rolling-trail primitive round-trips: a depth-first chain of
-/// candidates that restores from the rolling trail at each pair's LCP
-/// window start (truncate on backtrack), replays the suffix and
-/// re-records the snapshots its successors restore (extend in place)
-/// reproduces a fresh full simulation of every candidate, bit for bit.
-#[test]
-fn rolling_trail_truncate_extend_roundtrips_bitwise() {
-    use spmap_model::{EvalScratch, EvalTables, ScheduleCheckpoints};
-
-    let p = Platform::reference();
-    for case in 0..10u64 {
-        let nodes = 12 + (case * 9 % 38) as usize;
-        let seed = case * 73 + 11;
-        let mut g = random_sp_graph(&SpGenConfig::new(nodes, seed));
-        augment(&mut g, &AugmentConfig::default(), seed);
-        let n = g.node_count();
-        let m = p.device_count();
-        let tables = EvalTables::new(&g, &p);
-        let mut scratch = EvalScratch::for_tables(&tables);
-        let every = ScheduleCheckpoints::auto_interval(n);
-        let mut rolling = ScheduleCheckpoints::zeroed(n, m, every);
-        let zero = ScheduleCheckpoints::zeroed(n, m, n + 1);
-        let scan: Vec<NodeId> = {
-            let mut s: Vec<NodeId> = g.nodes().collect();
-            s.sort_by_key(|&v| (tables.earliest_read_pos(v), v.index()));
-            s
-        };
-        // A chain that walks down and back up the trie: each candidate
-        // mutates a node at a varying scan depth, so successive LCP
-        // window starts both grow (extend) and shrink (truncate).
-        let mut chain: Vec<Mapping> = vec![Mapping::all_default(&g, &p)];
-        for t in 0..8u64 {
-            let mut next = chain.last().unwrap().clone();
-            let depth = ((t * 31 + case * 17) % n as u64) as usize;
-            let v = scan[depth];
-            next.set(v, DeviceId((next.device(v).0 + 1) % 2));
-            if next.is_area_feasible(&g, &p) {
-                chain.push(next);
-            }
-        }
-        let lcp_start = |a: &Mapping, b: &Mapping| -> usize {
-            scan.iter()
-                .find(|&&v| a.device(v) != b.device(v))
-                .map(|&v| tables.earliest_read_pos(v))
-                .unwrap_or(n)
-        };
-        // Record obligations: candidate i re-records the snapshot its
-        // successor restores whenever that lies in its replayed range
-        // (the trie planner's owner rule, specialised to one chain).
-        let all_snaps: Vec<u32> = (0..rolling.snapshot_count() as u32).collect();
-        for (i, cand) in chain.iter().enumerate() {
-            let from = if i == 0 {
-                0
-            } else {
-                lcp_start(&chain[i - 1], cand)
-            };
-            let restore_snap = rolling.snapshot_index(from);
-            assert!(
-                restore_snap * every <= from,
-                "restore never overshoots the window start"
-            );
-            // This test keeps every snapshot of the replayed range live
-            // (the simplest valid obligation set — a superset of what
-            // any successor can need): snapshots below the restore stay
-            // untouched, snapshots at or above it are re-recorded.  The
-            // store over-allocates one slot when `every` divides `n`
-            // (its top index would sit at position `n`, past the last
-            // pop) — only snapshots inside the replayed range are
-            // listable.
-            let rec: Vec<u32> = all_snaps
-                .iter()
-                .copied()
-                .filter(|&j| (j as usize) >= restore_snap && (j as usize) * every < n)
-                .collect();
-            let ms = if i == 0 {
-                tables.makespan_order_window_recording(
-                    &mut scratch,
-                    cand,
-                    tables.bfs_order(),
-                    Some(&zero),
-                    &mut rolling,
-                    0,
-                    &rec,
-                )
-            } else {
-                tables.makespan_order_window_recording(
-                    &mut scratch,
-                    cand,
-                    tables.bfs_order(),
-                    None,
-                    &mut rolling,
-                    from,
-                    &rec,
-                )
-            };
-            // Bit-identical to a fresh, heap-driven full simulation.
-            let mut fresh = EvalScratch::for_tables(&tables);
-            let full = tables
-                .makespan_bfs(&mut fresh, cand)
-                .expect("chain members stay feasible");
-            assert_eq!(
-                ms, full,
-                "case {case} chain {i}: rolling replay (from {from}) drifted"
-            );
-        }
-    }
-}
-
 /// Suffix-sparse snapshots are a pure storage change: a windowed replay
 /// restoring from a suffix-sparse checkpoint store reproduces the same
 /// replay from a dense store bit for bit — same makespan, same
