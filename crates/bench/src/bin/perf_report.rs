@@ -1165,7 +1165,7 @@ fn print_ga_row(m: &GaMeasurement) {
         m.batchn_seconds,
         m.speedup_1t(),
         m.speedup_nt(),
-        m.windowed_sims,
+        "-", // the GA does not prune; its windowed replays get their own line
         m.memo_hits,
         100.0 * m.memo_hit_rate(),
     );
@@ -1180,7 +1180,8 @@ fn print_ga_row(m: &GaMeasurement) {
         m.scoped_spawns,
     );
     println!(
-        "       positions {} (skip rate {:.1}%)",
+        "       windowed sims {}, positions {} (skip rate {:.1}%)",
+        m.windowed_sims,
         m.positions,
         100.0 * m.windowed_skip_rate(),
     );

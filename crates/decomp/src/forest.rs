@@ -2,8 +2,8 @@
 //! decomposition trees over an arbitrary two-terminal DAG.
 //!
 //! The algorithm grows a *core* decomposition tree from the global source
-//! by alternating series growth (`grow_series`) and parallel growth
-//! (`grow_parallel`).  Parallel growth maintains a *wavefront* of active
+//! by alternating series growth (GROW_SERIES) and parallel growth
+//! (GROW_PARALLEL).  Parallel growth maintains a *wavefront* of active
 //! subtrees rooted at the branch node; subtrees with a common sink merge
 //! into parallel operations.  When the wavefront can neither merge nor
 //! grow, the input graph is not series-parallel at this point and one
@@ -77,9 +77,10 @@ impl ForestResult {
 /// unique source and sink of `g` (normalize first via
 /// [`spmap_graph::ops::normalize_terminals`] for general DAGs).
 ///
-/// The recursion nests as deep as the series-parallel structure, so the
-/// actual work runs on a dedicated thread with a large stack; the public
-/// function itself is safe to call from anywhere.
+/// Runs on the caller's thread without recursion: the paper's nested
+/// GROW_SERIES/GROW_PARALLEL calls are frames on a heap stack, so the
+/// nesting depth of the series-parallel structure is bounded by memory,
+/// not by the thread's stack size.
 pub fn decompose_forest(
     g: &TaskGraph,
     source: NodeId,
@@ -89,31 +90,21 @@ pub fn decompose_forest(
     debug_assert_eq!(ops::sources(g), vec![source], "source must be unique");
     debug_assert_eq!(ops::sinks(g), vec![sink], "sink must be unique");
     assert!(g.edge_count() > 0, "decomposition needs at least one edge");
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("sp-decompose".into())
-            .stack_size(256 << 20)
-            .spawn_scoped(scope, || {
-                let builder = Builder {
-                    g,
-                    forest: SpForest::new(),
-                    indeg: (0..g.node_count())
-                        .map(|v| g.in_degree(NodeId(v as u32)) as u32)
-                        .collect(),
-                    sink,
-                    policy,
-                    rng: match policy {
-                        CutPolicy::Random { seed } => Some(StdRng::seed_from_u64(seed)),
-                        _ => None,
-                    },
-                    cuts: 0,
-                };
-                builder.run(source)
-            })
-            .expect("spawn decomposition thread")
-            .join()
-            .expect("decomposition thread panicked")
-    })
+    let builder = Builder {
+        g,
+        forest: SpForest::new(),
+        indeg: (0..g.node_count())
+            .map(|v| g.in_degree(NodeId(v as u32)) as u32)
+            .collect(),
+        sink,
+        policy,
+        rng: match policy {
+            CutPolicy::Random { seed } => Some(StdRng::seed_from_u64(seed)),
+            _ => None,
+        },
+        cuts: 0,
+    };
+    builder.run(source)
 }
 
 struct Builder<'g> {
@@ -127,11 +118,35 @@ struct Builder<'g> {
     cuts: usize,
 }
 
+/// One suspended GROW_SERIES or GROW_PARALLEL call.  The frames replay
+/// the paper's mutual recursion step for step, so arena nodes, roots and
+/// cuts are created in the recursive order (op ids, and with them the
+/// search's tie-breaks, depend on it).
+enum Frame {
+    /// GROW_SERIES (paper lines 6–17) extending `t`.  `t = None` encodes
+    /// the paper's virtual start tree `[ε, s]` at node `start` without
+    /// materializing a virtual edge; in that state the outsize is 0,
+    /// which together with `indegree(start) = 0` (sources and freshly
+    /// entered parallel heads) lets growth begin.
+    Series { t: Option<SpTreeId>, start: NodeId },
+    /// GROW_PARALLEL (paper lines 19–42) over the wavefront `w` of active
+    /// subtrees rooted at one branch node.
+    Parallel {
+        w: Vec<SpTreeId>,
+        /// Next slot of `w` to grow in the current sweep; `None` before
+        /// the sweep's merge step.
+        next: Option<usize>,
+        /// Sink of the slot being grown, from before its growth.
+        old_sink: NodeId,
+        /// Whether the current sweep merged, or grew, any subtree.
+        merged: bool,
+        grew: bool,
+    },
+}
+
 impl<'g> Builder<'g> {
     fn run(mut self, source: NodeId) -> ForestResult {
-        let core = self
-            .grow_series(None, source)
-            .expect("a two-terminal graph with edges always grows a core tree");
+        let core = self.grow(source);
         debug_assert_eq!(
             self.forest.node(core).sink,
             self.sink,
@@ -147,80 +162,137 @@ impl<'g> Builder<'g> {
         }
     }
 
-    /// GROW_SERIES (paper lines 6–17).  `t = None` encodes the paper's
-    /// virtual start tree `[ε, s]` at node `start` without materializing a
-    /// virtual edge; in that state the outsize is 0, which together with
-    /// `indegree(start) = 0` (sources and freshly entered parallel heads)
-    /// lets growth begin.
-    fn grow_series(&mut self, mut t: Option<SpTreeId>, start: NodeId) -> Option<SpTreeId> {
-        loop {
-            let (v, outsize) = match t {
-                Some(id) => {
-                    let n = self.forest.node(id);
-                    (n.sink, n.outsize)
+    /// Grow the core tree from `source`.  A frame that finishes leaves its
+    /// result in `ret` and the frame below it, which made the call, takes
+    /// it when it resumes.
+    fn grow(&mut self, source: NodeId) -> SpTreeId {
+        let mut stack = vec![Frame::Series {
+            t: None,
+            start: source,
+        }];
+        let mut ret: Option<SpTreeId> = None;
+        while let Some(frame) = stack.pop() {
+            match frame {
+                Frame::Series { mut t, start } => {
+                    if let Some(ext) = ret.take() {
+                        t = Some(self.series_extend(t, ext));
+                    }
+                    loop {
+                        let (v, outsize) = match t {
+                            Some(id) => {
+                                let n = self.forest.node(id);
+                                (n.sink, n.outsize)
+                            }
+                            None => (start, 0),
+                        };
+                        // Stop at the global end node or when v has inputs
+                        // outside T.
+                        if v == self.sink || self.indeg[v.index()] > outsize {
+                            ret = t;
+                            break;
+                        }
+                        if self.g.out_degree(v) == 1 {
+                            let e = self.g.out_edges(v)[0];
+                            let ext = self.forest.leaf(e, v, self.g.edge(e).dst);
+                            t = Some(self.series_extend(t, ext));
+                        } else {
+                            stack.push(Frame::Series { t, start });
+                            stack.push(self.open_parallel(v));
+                            break;
+                        }
+                    }
                 }
-                None => (start, 0),
-            };
-            // Stop at the global end node or when v has inputs outside T.
-            if v == self.sink || self.indeg[v.index()] > outsize {
-                return t;
+                Frame::Parallel {
+                    mut w,
+                    mut next,
+                    old_sink,
+                    mut merged,
+                    mut grew,
+                } => {
+                    if let Some(grown) = ret.take() {
+                        let i = next.expect("a grown slot belongs to a sweep");
+                        grew |= self.forest.node(grown).sink != old_sink;
+                        w[i] = grown;
+                        next = Some(i + 1);
+                    }
+                    // repeat … until no change in the wavefront occurred
+                    loop {
+                        match next {
+                            None => {
+                                merged = self.merge_same_sink(&mut w);
+                                if w.len() == 1 {
+                                    ret = Some(w[0]);
+                                    break;
+                                }
+                                grew = false;
+                                next = Some(0);
+                            }
+                            Some(i) if i < w.len() => {
+                                let t = w[i];
+                                let old_sink = self.forest.node(t).sink;
+                                stack.push(Frame::Parallel {
+                                    w,
+                                    next,
+                                    old_sink,
+                                    merged,
+                                    grew,
+                                });
+                                stack.push(Frame::Series {
+                                    t: Some(t),
+                                    start: old_sink,
+                                });
+                                break;
+                            }
+                            Some(_) => {
+                                if !merged && !grew {
+                                    self.cut(&mut w);
+                                }
+                                next = None;
+                            }
+                        }
+                    }
+                }
             }
-            let ext = if self.g.out_degree(v) == 1 {
-                let e = self.g.out_edges(v)[0];
-                self.forest.leaf(e, v, self.g.edge(e).dst)
-            } else {
-                self.grow_parallel(v)
-            };
-            t = Some(match t {
-                Some(id) => self.forest.series_extend(id, ext),
-                None => ext,
-            });
+        }
+        ret.expect("a two-terminal graph with edges always grows a core tree")
+    }
+
+    /// `t ; ext`, where `t = None` is the virtual start tree.
+    fn series_extend(&mut self, t: Option<SpTreeId>, ext: SpTreeId) -> SpTreeId {
+        match t {
+            Some(id) => self.forest.series_extend(id, ext),
+            None => ext,
         }
     }
 
-    /// GROW_PARALLEL (paper lines 19–42): maintain the wavefront `w` of
-    /// active subtrees rooted at `v`; merge same-sink subtrees, grow all,
-    /// and cut one subtree whenever no change is possible.
-    fn grow_parallel(&mut self, v: NodeId) -> SpTreeId {
-        let mut w: Vec<SpTreeId> = self
+    /// Enter GROW_PARALLEL at branch node `v`: one leaf per out-edge.
+    fn open_parallel(&mut self, v: NodeId) -> Frame {
+        let w: Vec<SpTreeId> = self
             .g
             .out_edges(v)
             .iter()
             .map(|&e| self.forest.leaf(e, v, self.g.edge(e).dst))
             .collect();
-        debug_assert!(w.len() >= 2, "grow_parallel requires out-degree >= 2");
-        loop {
-            // repeat … until no change in the wavefront occurred
-            loop {
-                let merged = self.merge_same_sink(&mut w);
-                if w.len() == 1 {
-                    return w[0];
-                }
-                let mut grew = false;
-                for slot in w.iter_mut() {
-                    let old_sink = self.forest.node(*slot).sink;
-                    let grown = self
-                        .grow_series(Some(*slot), old_sink)
-                        .expect("existing tree stays Some");
-                    if self.forest.node(grown).sink != old_sink {
-                        grew = true;
-                    }
-                    *slot = grown;
-                }
-                if !merged && !grew {
-                    break;
-                }
-            }
-            // Stuck: the graph is not series-parallel here.  Cut one
-            // active subtree (paper lines 38–40).
-            let idx = self.choose_cut(&w);
-            let tc = w.remove(idx);
-            let node = self.forest.node(tc);
-            let (u2, outsize) = (node.sink, node.outsize);
-            self.indeg[u2.index()] -= outsize;
-            self.forest.roots.push(tc);
-            self.cuts += 1;
+        debug_assert!(w.len() >= 2, "GROW_PARALLEL requires out-degree >= 2");
+        Frame::Parallel {
+            w,
+            next: None,
+            old_sink: v,
+            merged: false,
+            grew: false,
         }
+    }
+
+    /// The wavefront is stuck: the graph is not series-parallel here.  Cut
+    /// one active subtree (paper lines 38–40).
+    fn cut(&mut self, w: &mut Vec<SpTreeId>) {
+        let idx = self.choose_cut(w);
+        let tc = w.remove(idx);
+        let node = self.forest.node(tc);
+        let (u2, outsize) = (node.sink, node.outsize);
+        self.indeg[u2.index()] -= outsize;
+        self.forest.roots.push(tc);
+        self.cuts += 1;
     }
 
     /// Merge every group of wavefront trees sharing a sink into a parallel
@@ -529,35 +601,53 @@ mod tests {
         }
     }
 
+    /// Run `f` on a thread with a 256 KiB stack.  A builder that recursed
+    /// once per nesting level would overflow it far short of the depths
+    /// below; the heap frame stack must not.
+    fn on_small_stack(f: impl FnOnce() + Send) {
+        std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(256 << 10)
+                .spawn_scoped(scope, f)
+                .expect("spawn small-stack test thread")
+                .join()
+                .expect("small-stack test thread panicked")
+        })
+    }
+
     #[test]
     fn deep_chain_does_not_overflow_stack() {
-        // Long chains are iterative (series loop), and deep nesting runs on
-        // the dedicated big-stack thread; 20k nodes must be fine.
-        let g = chain(20_000, 1.0);
-        let r = forest_of(&g, CutPolicy::default());
-        assert!(r.is_series_parallel());
-        assert_eq!(r.forest.node(r.core).edge_count, 19_999);
+        on_small_stack(|| {
+            let g = chain(20_000, 1.0);
+            let r = forest_of(&g, CutPolicy::default());
+            assert!(r.is_series_parallel());
+            assert_eq!(r.forest.node(r.core).edge_count, 19_999);
+        });
     }
 
     #[test]
     fn deeply_nested_sp_graph_decomposes() {
-        // Alternating series/parallel nesting: worst case for recursion
-        // depth.  Build a graph nested 2000 levels deep: at each level,
+        // Alternating series/parallel nesting: worst case for nesting
+        // depth.  Build a graph nested 100,000 levels deep: at each level,
         // wrap the previous two-terminal graph with a parallel bypass edge
         // and a series head node.
-        let mut b = spmap_graph::GraphBuilder::new();
-        let mut src = b.add_task(spmap_graph::Task::named("s"));
-        let sink = b.add_task(spmap_graph::Task::named("t"));
-        b.add_edge(src, sink, 1.0).unwrap();
-        for _ in 0..2000 {
-            let new_src = b.add_task(spmap_graph::Task::default());
-            b.add_edge(new_src, src, 1.0).unwrap(); // series head
-            b.add_edge(new_src, sink, 1.0).unwrap(); // parallel bypass
-            src = new_src;
-        }
-        let g = b.build().unwrap();
-        let r = decompose_forest(&g, src, sink, CutPolicy::default());
-        assert!(r.is_series_parallel());
-        r.forest.validate(&g);
+        on_small_stack(|| {
+            const LEVELS: usize = 100_000;
+            let mut b = spmap_graph::GraphBuilder::new();
+            let mut src = b.add_task(spmap_graph::Task::named("s"));
+            let sink = b.add_task(spmap_graph::Task::named("t"));
+            b.add_edge(src, sink, 1.0).unwrap();
+            for _ in 0..LEVELS {
+                let new_src = b.add_task(spmap_graph::Task::default());
+                b.add_edge(new_src, src, 1.0).unwrap(); // series head
+                b.add_edge(new_src, sink, 1.0).unwrap(); // parallel bypass
+                src = new_src;
+            }
+            let g = b.build().unwrap();
+            let r = decompose_forest(&g, src, sink, CutPolicy::default());
+            assert!(r.is_series_parallel());
+            assert_eq!(r.forest.node(r.core).edge_count as usize, 2 * LEVELS + 1);
+            r.forest.validate(&g);
+        });
     }
 }

@@ -29,6 +29,10 @@
 //!   naming the recovery policy: what state the caught unwind leaves
 //!   behind and who restores it (docs/ROBUSTNESS.md).  Test code is
 //!   exempt — tests use `catch_unwind` to *observe* panics.
+//! * [`no-thread-outside-par`] — `thread::spawn`, `thread::scope` and
+//!   `thread::Builder` are confined to `crates/par` (plus the paths the
+//!   wall-clock rule exempts), so every thread the library starts runs
+//!   through the pool and shows in its `DispatchStats`.
 //!
 //! Exceptions are written down where they live: an inline pragma
 //!
@@ -56,12 +60,13 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// The enforced rules, in reporting order.
-pub const RULE_NAMES: [&str; 5] = [
+pub const RULE_NAMES: [&str; 6] = [
     "unsafe-needs-safety-comment",
     "no-unordered-iteration",
     "no-env-outside-config",
     "no-wallclock-in-decisions",
     "catch-unwind-needs-containment-comment",
+    "no-thread-outside-par",
 ];
 
 /// One finding: `file:line: rule: message`, the grep-able CI currency.
@@ -457,6 +462,12 @@ fn wallclock_allowed(rel: &Path) -> bool {
     is_test_path(rel) || rel.starts_with("crates/bench") || rel.starts_with("crates/shims")
 }
 
+/// Paths that may start threads: the parallel runtime (`crates/par`)
+/// and the paths exempt from the wall-clock rule.
+fn threads_allowed(rel: &Path) -> bool {
+    wallclock_allowed(rel) || rel.starts_with("crates/par")
+}
+
 /// The sanctioned home of `std::env::var`: the defensive parse helpers
 /// (`num_threads` / `backend` / `num_shards` / `parse_threads` /
 /// `parse_pool` / `parse_shards`).
@@ -723,6 +734,31 @@ pub fn lint_source(rel: &Path, source: &str) -> Vec<Violation> {
                  recovery policy (what state the unwind leaves, who restores it)"
                     .into(),
             );
+        }
+    }
+
+    // Rule 6: no-thread-outside-par.  A thread started outside the
+    // pool is invisible to `DispatchStats` and escapes its thread
+    // budget; `thread::available_parallelism` and friends start none.
+    if !threads_allowed(rel) {
+        for (i, t) in s.toks.iter().enumerate() {
+            if t.text == "thread"
+                && s.toks.get(i + 1).is_some_and(|n| n.text == "::")
+                && s.toks
+                    .get(i + 2)
+                    .is_some_and(|m| matches!(m.text.as_str(), "spawn" | "scope" | "Builder"))
+                && !exempt(t.line)
+            {
+                push(
+                    t.line,
+                    "no-thread-outside-par",
+                    format!(
+                        "`thread::{}` outside crates/par; run the work on the pool so it shows \
+                         in DispatchStats, or justify with a pragma",
+                        s.toks[i + 2].text
+                    ),
+                );
+            }
         }
     }
 

@@ -172,6 +172,54 @@ fn bench_paths_are_exempt_from_wallclock() {
 }
 
 #[test]
+fn thread_start_outside_par_is_flagged() {
+    let vs = lint_fixture("thread_flagged.rs");
+    assert_eq!(
+        rules(&vs),
+        [
+            "no-thread-outside-par", // use std::thread::Builder
+            "no-thread-outside-par", // std::thread::spawn
+            "no-thread-outside-par", // std::thread::scope
+        ],
+        "{vs:#?}"
+    );
+    assert_eq!(
+        vs.iter().map(|v| v.line).collect::<Vec<_>>(),
+        [1, 4, 8],
+        "the use declaration itself is flagged"
+    );
+}
+
+#[test]
+fn thread_queries_and_test_threads_are_clean() {
+    let vs = lint_fixture("thread_clean.rs");
+    assert!(vs.is_empty(), "{vs:#?}");
+}
+
+#[test]
+fn thread_pragma_suppresses_with_reason() {
+    let vs = lint_fixture("thread_pragma.rs");
+    assert!(vs.is_empty(), "{vs:#?}");
+}
+
+#[test]
+fn par_and_harness_paths_are_exempt_from_thread_rule() {
+    let source = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/thread_flagged.rs"),
+    )
+    .unwrap();
+    for path in [
+        "crates/par/src/pool.rs",
+        "crates/bench/src/chaos_load.rs",
+        "examples/quickstart.rs",
+        "tests/service.rs",
+    ] {
+        let vs = lint_source(Path::new(path), &source);
+        assert!(vs.is_empty(), "{path}: {vs:#?}");
+    }
+}
+
+#[test]
 fn pragma_without_reason_is_itself_a_violation() {
     let source = "pub fn f(x: u32) -> u32 {\n    // lint:allow(no-env-outside-config)\n    x\n}\n";
     let vs = lint_source(Path::new("crates/fixture/src/lib.rs"), source);
