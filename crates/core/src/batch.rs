@@ -22,10 +22,11 @@
 //!    simulation when a cheap lower bound on its resulting makespan
 //!    already proves it cannot *strictly* beat the incumbent improvement
 //!    (or the improvement threshold).  The bound combines per-device
-//!    serialization loads, per-link transfer loads and single-task spans,
-//!    all maintained incrementally — and is deflated by a relative safety
-//!    margin so float drift can never flip a true improvement into a
-//!    prune.  Ties are therefore never pruned, and the serial
+//!    serialization loads, per-link transfer loads and single-task spans
+//!    — base aggregates that the first pruned sweep on each base mapping
+//!    builds, adjusted in `O(k)` per candidate — and is deflated by a
+//!    relative safety margin so float drift can never flip a true
+//!    improvement into a prune.  Ties are therefore never pruned, and the serial
 //!    first-lowest-index tie-break is preserved bit for bit.
 //! 3. **Parallel simulation.**  Candidates that survive 1–2 are simulated
 //!    in fixed-size chunks through `spmap_par::par_map_with`, one
@@ -51,6 +52,7 @@
 //! single-schedule instance of the same path.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use spmap_graph::{NodeId, TaskGraph};
 use spmap_model::{
@@ -78,6 +80,55 @@ const BOUND_SLACK: f64 = 1e-9;
 /// memos without limit.  `0` disables eviction entirely.
 pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 20;
 
+/// The hasher of every map keyed by a mapping fingerprint: the memos
+/// below and the population engine's trail-cache and batch-dedup maps.
+///
+/// Fingerprints are already SplitMix-mixed 128-bit values, so SipHash
+/// over them buys nothing; this folds each written word into one `u64`
+/// with a multiply (so a trailing schedule index still spreads over the
+/// high bits the table probes with).  The keys are Zobrist fingerprints
+/// of mappings, not bytes received from outside the process, so giving
+/// up SipHash's protection against crafted collisions costs nothing
+/// here.  The hasher is fixed and seed-free, which
+/// makes the maps' iteration order a function of their contents — but
+/// no decision depends on that order: memo eviction selects by access
+/// stamp (docs/DETERMINISM.md, invariant 5).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(29) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, x: u128) {
+        self.write_u64(x as u64 ^ (x >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `BuildHasher` of [`FingerprintHasher`].
+pub(crate) type FingerprintHash = BuildHasherDefault<FingerprintHasher>;
+
 /// A makespan memo with access-generation-stamped LRU eviction.
 ///
 /// Every read and write stamps the entry with a monotonically increasing
@@ -91,7 +142,7 @@ pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 20;
 /// pattern — is deterministic and thread-invariant.
 #[derive(Clone, Debug)]
 pub(crate) struct BoundedMemo<K> {
-    map: HashMap<K, (f64, u64)>,
+    map: HashMap<K, (f64, u64), FingerprintHash>,
     clock: u64,
     capacity: usize,
     evictions: u64,
@@ -102,7 +153,7 @@ impl<K: std::hash::Hash + Eq + Copy> BoundedMemo<K> {
     /// An empty memo holding at most `capacity` entries (`0` = unbounded).
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
-            map: HashMap::new(),
+            map: HashMap::default(),
             clock: 0,
             capacity,
             evictions: 0,
@@ -459,13 +510,18 @@ pub struct CandidateBatch<'g> {
     sched_memo: BoundedMemo<(u128, u32)>,
     /// Per-schedule makespans of the current base mapping.
     base_sched: Vec<f64>,
-    // --- incrementally maintained aggregates of the base mapping ---
+    /// Per FPGA device: mapped area of the base (0 for others); rebuilt
+    /// on every base change, since every candidate's area check reads it.
+    area_used: Vec<f64>,
+    // --- prune aggregates of the base mapping, read only by
+    // `candidate_lower_bound` and so rebuilt only by a pruned sweep ---
+    /// The base `generation` the prune aggregates below describe (`0` =
+    /// never built).  An unpruned search (FirstFit) never builds them.
+    aggregates_generation: u64,
     /// Per *temporal* device: sum of mapped execution times (0 for FPGAs).
     dev_load: Vec<f64>,
     /// Per directed link `from*m+to`: sum of crossing transfer times.
     link_load: Vec<f64>,
-    /// Per FPGA device: mapped area (0 for others).
-    area_used: Vec<f64>,
     /// Static bound: `max_v min_d exec(v, d)` — some task must run.
     max_min_exec: f64,
     /// Critical-path scores of the base mapping, sorted descending:
@@ -487,6 +543,9 @@ pub struct CandidateBatch<'g> {
     /// one device per reassigned node.
     target: Vec<DeviceId>,
     mark_gen: u64,
+    /// The candidates of the current sweep awaiting simulation; kept
+    /// between calls so a sweep reuses the previous one's allocation.
+    pending: Vec<Pending>,
     stats: BatchStats,
     /// The engine thread's `spmap_par` dispatch counters at
     /// construction; [`Self::dispatch`] diffs against this to report how
@@ -646,9 +705,10 @@ impl<'g> CandidateBatch<'g> {
             memo: BoundedMemo::new(cfg.memo_capacity),
             sched_memo: BoundedMemo::new(cfg.memo_capacity),
             base_sched: vec![0.0; schedules.len()],
+            area_used: Vec::new(),
+            aggregates_generation: 0,
             dev_load: Vec::new(),
             link_load: Vec::new(),
-            area_used: Vec::new(),
             max_min_exec,
             path_scores: Vec::new(),
             checkpoints: CheckpointSet::for_schedules_budgeted(
@@ -661,6 +721,7 @@ impl<'g> CandidateBatch<'g> {
             mark: vec![0; n],
             target: vec![DeviceId(0); n],
             mark_gen: 0,
+            pending: Vec::new(),
             stats: BatchStats::default(),
             dispatch_base: spmap_par::dispatch_stats(),
             tables,
@@ -672,7 +733,7 @@ impl<'g> CandidateBatch<'g> {
             workers,
             mapping,
         };
-        engine.rebuild_aggregates();
+        engine.rebuild_area();
         engine.cur = engine.simulate_base().expect("base mapping is feasible");
         engine.memoize_base();
         engine
@@ -794,9 +855,13 @@ impl<'g> CandidateBatch<'g> {
         if crate::faults::fault_point(crate::faults::FaultSite::CandidateSweep) {
             return vec![f64::NAN; ops.len()];
         }
+        if prune {
+            self.ensure_prune_aggregates();
+        }
         let threshold = self.cur * REL_EPS;
         let mut deltas = vec![f64::NEG_INFINITY; ops.len()];
-        let mut pending: Vec<Pending> = Vec::with_capacity(ops.len());
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.clear();
         // Incumbent: the best delta already known in this batch (memo
         // hits count — they are exact).  Only *strictly* better bounds
         // may prune, so ties always go to simulation and the
@@ -914,6 +979,7 @@ impl<'g> CandidateBatch<'g> {
             }
             next = end;
         }
+        self.pending = pending;
         deltas
     }
 
@@ -932,9 +998,13 @@ impl<'g> CandidateBatch<'g> {
     /// (non-pruned) improvement is bit-identical to a serial
     /// from-scratch re-simulation of the delta.
     pub fn evaluate_deltas(&mut self, deltas: &[DeltaOp], prune: bool) -> Vec<f64> {
+        if prune {
+            self.ensure_prune_aggregates();
+        }
         let threshold = self.cur * REL_EPS;
         let mut out = vec![f64::NEG_INFINITY; deltas.len()];
-        let mut pending: Vec<Pending> = Vec::with_capacity(deltas.len());
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.clear();
         let mut incumbent = f64::NEG_INFINITY;
         for (slot, delta) in deltas.iter().enumerate() {
             match self.classify_delta(delta, prune) {
@@ -1015,6 +1085,7 @@ impl<'g> CandidateBatch<'g> {
             }
             next = end;
         }
+        self.pending = pending;
         out
     }
 
@@ -1036,12 +1107,13 @@ impl<'g> CandidateBatch<'g> {
         }
         self.generation += 1;
         // Exact rebuild instead of incremental update: commits are rare
-        // (≤ n per run) and a fresh O(V + E) accumulation keeps the load
-        // aggregates free of float drift across iterations.  The base
-        // simulation is always re-run (never memo-answered) because it
-        // also records the per-schedule snapshot trails every window
+        // (≤ n per run) and a fresh accumulation keeps the area sums free
+        // of float drift across iterations.  The prune aggregates wait
+        // for the next pruned sweep (`ensure_prune_aggregates`).  The
+        // base simulation is always re-run (never memo-answered) because
+        // it also records the per-schedule snapshot trails every window
         // needs.
-        self.rebuild_aggregates();
+        self.rebuild_area();
         self.cur = self
             .simulate_base()
             .expect("committed operations are feasible");
@@ -1282,6 +1354,10 @@ impl<'g> CandidateBatch<'g> {
     where
         I: Iterator<Item = (NodeId, DeviceId)> + Clone,
     {
+        debug_assert_eq!(
+            self.aggregates_generation, self.generation,
+            "prune aggregates are stale: pruned sweeps build them on entry"
+        );
         let dm = self.tables.device_count();
         let mut dev_load = [0.0f64; 8];
         dev_load[..dm].copy_from_slice(&self.dev_load);
@@ -1500,21 +1576,37 @@ impl<'g> CandidateBatch<'g> {
         }
     }
 
-    /// Recompute the load aggregates of the base mapping from scratch.
-    fn rebuild_aggregates(&mut self) {
+    /// Recompute the per-FPGA area sums of the base mapping from scratch.
+    fn rebuild_area(&mut self) {
+        let dm = self.tables.device_count();
+        self.area_used.clear();
+        self.area_used.resize(dm, 0.0);
+        for v in self.tables.graph().nodes() {
+            let d = self.mapping.device(v);
+            if self.tables.is_fpga_device(d) {
+                self.area_used[d.index()] += self.tables.task_area(v);
+            }
+        }
+    }
+
+    /// Bring the prune aggregates up to the current base, rebuilding
+    /// them from scratch if the base changed since they were built.
+    /// Called on entry to every pruned sweep, so an unpruned search
+    /// never pays for them.
+    fn ensure_prune_aggregates(&mut self) {
+        if self.aggregates_generation == self.generation {
+            return;
+        }
+        self.aggregates_generation = self.generation;
         let dm = self.tables.device_count();
         let g = self.tables.graph();
         self.dev_load.clear();
         self.dev_load.resize(dm, 0.0);
-        self.area_used.clear();
-        self.area_used.resize(dm, 0.0);
         self.link_load.clear();
         self.link_load.resize(dm * dm, 0.0);
         for v in g.nodes() {
             let d = self.mapping.device(v);
-            if self.tables.is_fpga_device(d) {
-                self.area_used[d.index()] += self.tables.task_area(v);
-            } else {
+            if !self.tables.is_fpga_device(d) {
                 self.dev_load[d.index()] += self.tables.exec_time(v, d);
             }
         }
@@ -1833,6 +1925,9 @@ mod tests {
                 },
             );
             let reference = reference_deltas(&g, &p, &eng);
+            // `classify` reads the prune aggregates that a pruned sweep
+            // builds on entry; this test calls it directly.
+            eng.ensure_prune_aggregates();
             for (op, &true_delta) in reference.iter().enumerate().take(eng.op_count()) {
                 let verdict = eng.classify(op, true);
                 if let Verdict::Simulate { bound, .. } = verdict {
@@ -2283,6 +2378,195 @@ mod tests {
         );
         assert!(len <= 16 && sched_len <= 16, "a memo exceeded its capacity");
         assert!(stats.memo_peak <= 16 && stats.sched_memo_peak <= 16);
+    }
+
+    /// The two engines of the lazy-aggregate tests: one that builds its
+    /// prune aggregates on the all-default base (a pruned delta sweep,
+    /// which leaves the op expectations alone) and is then driven
+    /// through `commits` unpruned FirstFit commits on shared tables, and
+    /// a fresh warm-started engine on the driven engine's final mapping.
+    /// Memos are off, so the two engines' counters can only differ
+    /// through the lower bounds — that is, through the prune aggregates.
+    fn driven_and_fresh<'g>(
+        tables: &'g EvalTables<'g>,
+        cost: CostModel,
+        commits: usize,
+    ) -> (CandidateBatch<'g>, CandidateBatch<'g>) {
+        let cfg = EngineConfig {
+            threads: Some(1),
+            memo: false,
+            ..Default::default()
+        };
+        let subgraphs = series_parallel_subgraphs(tables.graph(), CutPolicy::default())
+            .subgraphs()
+            .to_vec();
+        let devices: Vec<DeviceId> = tables.platform().device_ids().collect();
+        let mut driven = CandidateBatch::with_shared_tables(
+            tables,
+            subgraphs.clone(),
+            devices.clone(),
+            cfg,
+            cost,
+        );
+        driven.evaluate_deltas(&delta_zoo(tables.graph(), tables.platform()), true);
+        let built = driven.aggregates_generation;
+        assert_eq!(built, driven.generation);
+        let ops: Vec<OpId> = (0..driven.op_count()).collect();
+        let (iterations, _) =
+            crate::threshold::gamma_threshold_search(&mut driven, &ops, commits, 1.0)
+                .expect("finite deltas");
+        assert_eq!(
+            iterations, commits,
+            "the search must commit {commits} times"
+        );
+        assert_eq!(
+            driven.aggregates_generation, built,
+            "FirstFit never prunes, so it must never rebuild the prune aggregates"
+        );
+        let fresh = CandidateBatch::with_shared_tables_warm(
+            tables,
+            subgraphs,
+            devices,
+            cfg,
+            cost,
+            driven.mapping().clone(),
+        );
+        (driven, fresh)
+    }
+
+    /// Counter increments of `after` over `before`.
+    fn stats_since(after: BatchStats, before: BatchStats) -> BatchStats {
+        BatchStats {
+            simulated: after.simulated - before.simulated,
+            memo_hits: after.memo_hits - before.memo_hits,
+            pruned: after.pruned - before.pruned,
+            aborted: after.aborted - before.aborted,
+            trivial: after.trivial - before.trivial,
+            sched_simulated: after.sched_simulated - before.sched_simulated,
+            sched_aborted: after.sched_aborted - before.sched_aborted,
+            sched_memo_hits: after.sched_memo_hits - before.sched_memo_hits,
+            memo_evictions: after.memo_evictions - before.memo_evictions,
+            sched_memo_evictions: after.sched_memo_evictions - before.sched_memo_evictions,
+            memo_peak: after.memo_peak,
+            sched_memo_peak: after.sched_memo_peak,
+        }
+    }
+
+    const LAZY_COSTS: [CostModel; 2] = [
+        CostModel::Bfs,
+        CostModel::Report {
+            schedules: 3,
+            seed: 5,
+        },
+    ];
+
+    #[test]
+    fn lazy_prune_aggregates_match_a_fresh_engine_for_ops() {
+        for seed in [4, 9] {
+            let (g, p) = setup(seed);
+            let tables = EvalTables::new(&g, &p);
+            for cost in LAZY_COSTS {
+                let (mut driven, mut fresh) = driven_and_fresh(&tables, cost, 3);
+                let ops: Vec<OpId> = (0..driven.op_count()).collect();
+                let before = driven.stats();
+                let a = driven.evaluate_ops(&ops, true);
+                let b = fresh.evaluate_ops(&ops, true);
+                let tag = format!("seed {seed}, {cost:?}");
+                assert_eq!(driven.aggregates_generation, driven.generation, "{tag}");
+                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "{tag}: deltas differ");
+                assert_eq!(
+                    stats_since(driven.stats(), before),
+                    stats_since(fresh.stats(), BatchStats::default()),
+                    "{tag}: counters differ"
+                );
+                assert!(fresh.stats().pruned > 0, "{tag}: nothing was pruned");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_prune_aggregates_match_a_fresh_engine_for_deltas() {
+        for seed in [4, 9] {
+            let (g, p) = setup(seed);
+            let tables = EvalTables::new(&g, &p);
+            let zoo = delta_zoo(&g, &p);
+            for cost in LAZY_COSTS {
+                let (mut driven, mut fresh) = driven_and_fresh(&tables, cost, 3);
+                let before = driven.stats();
+                let a = driven.evaluate_deltas(&zoo, true);
+                let b = fresh.evaluate_deltas(&zoo, true);
+                let tag = format!("seed {seed}, {cost:?}");
+                assert_eq!(driven.aggregates_generation, driven.generation, "{tag}");
+                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "{tag}: improvements differ");
+                assert_eq!(
+                    stats_since(driven.stats(), before),
+                    stats_since(fresh.stats(), BatchStats::default()),
+                    "{tag}: counters differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn first_fit_search_builds_no_prune_aggregates() {
+        for seed in [4, 9, 13] {
+            let (g, p) = setup(seed);
+            for cost in LAZY_COSTS {
+                let cfg = EngineConfig {
+                    threads: Some(1),
+                    ..Default::default()
+                };
+                let mut eng = match cost {
+                    CostModel::Bfs => engine(&g, &p, cfg),
+                    CostModel::Report { schedules, seed } => {
+                        report_engine(&g, &p, cfg, schedules, seed)
+                    }
+                };
+                let ops: Vec<OpId> = (0..eng.op_count()).collect();
+                let (iterations, _) =
+                    crate::threshold::gamma_threshold_search(&mut eng, &ops, usize::MAX, 1.0)
+                        .expect("finite deltas");
+                assert!(iterations > 0, "seed {seed}, {cost:?}: nothing committed");
+                assert_eq!(
+                    eng.aggregates_generation, 0,
+                    "seed {seed}, {cost:?}: FirstFit built prune aggregates"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prune_aggregates_follow_pruned_sweeps_not_commits() {
+        let (g, p) = setup(4);
+        let mut eng = engine(
+            &g,
+            &p,
+            EngineConfig {
+                threads: Some(1),
+                ..Default::default()
+            },
+        );
+        let ops: Vec<OpId> = (0..eng.op_count()).collect();
+        assert_eq!(eng.aggregates_generation, 0, "setup builds none");
+        let mut commits = 0;
+        for _ in 0..3 {
+            let deltas = eng.evaluate_ops(&ops, true);
+            assert_eq!(eng.aggregates_generation, eng.generation, "pruned sweep");
+            let best = (0..ops.len())
+                .filter(|&i| eng.improves(deltas[i]))
+                .max_by(|&i, &j| deltas[i].total_cmp(&deltas[j]).then(j.cmp(&i)));
+            let Some(op) = best else { break };
+            eng.commit(op);
+            commits += 1;
+            eng.evaluate_ops(&ops, false);
+            assert!(
+                eng.aggregates_generation < eng.generation,
+                "neither a commit nor an unpruned sweep rebuilds"
+            );
+        }
+        assert!(commits > 0, "the search must commit at least once");
     }
 
     #[test]

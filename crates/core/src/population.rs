@@ -48,7 +48,7 @@ use spmap_model::{
 };
 use spmap_par::{par_map_with_threads, DispatchStats, WorkerStates};
 
-use crate::batch::{resolve_threads, BoundedMemo, DEFAULT_MEMO_CAPACITY};
+use crate::batch::{resolve_threads, BoundedMemo, FingerprintHash, DEFAULT_MEMO_CAPACITY};
 
 /// Tuning knobs of the population evaluator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,7 +184,7 @@ const TRAIL_GAIN_MIN: usize = 1;
 /// one worker), windowed replays share the read lock.
 struct TrailCache {
     /// base fingerprint -> slot.
-    slots: HashMap<u128, usize>,
+    slots: HashMap<u128, usize, FingerprintHash>,
     stores: Vec<RwLock<ScheduleCheckpoints>>,
     /// LRU stamp per slot (monotone clock; touched on every use).
     stamp: Vec<u64>,
@@ -201,7 +201,7 @@ struct TrailCache {
 impl TrailCache {
     fn new(n: usize, every: usize, capacity: usize, dense: bool) -> Self {
         Self {
-            slots: HashMap::new(),
+            slots: HashMap::default(),
             stores: Vec::new(),
             stamp: Vec::new(),
             clock: 0,
@@ -435,7 +435,7 @@ impl<'g> PopulationEval<'g> {
         // Duplicate fingerprints within the batch coalesce onto the
         // first occurrence.
         let mut pending: Vec<(usize, usize)> = Vec::new();
-        let mut first_of: HashMap<u128, usize> = HashMap::new();
+        let mut first_of: HashMap<u128, usize, FingerprintHash> = HashMap::default();
         let mut dups: Vec<(usize, usize)> = Vec::new();
         for (i, c) in cands.iter().enumerate() {
             if let Some(ms) = self.memo.get(&c.fingerprint) {

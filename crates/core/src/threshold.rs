@@ -200,14 +200,20 @@ pub(crate) fn gamma_threshold_search(
         // Rebuild the priority queue from current expectations: one
         // entry per position, so no entry is ever stale or popped twice,
         // and an entry's key is its `expected` value until it is
-        // evaluated.  The rebuild is O(K), far below the cost of even a
-        // single model evaluation.  Ties pop the higher position first —
+        // evaluated.  `BinaryHeap::from` heapifies in O(K); the
+        // `(key, position)` pairs are unique, so the pop order is the
+        // same as for K pushes.  Ties pop the higher position first —
         // with `ops` ascending, the higher op id, as in the reference.
-        let mut heap: BinaryHeap<(Key, usize)> = BinaryHeap::with_capacity(ops.len());
-        for (i, &exp) in expected.iter().enumerate() {
-            let key = Key::new(exp).map_err(|_| MapperError::NanDelta { op: ops[i] })?;
-            heap.push((key, i));
-        }
+        let entries = expected
+            .iter()
+            .enumerate()
+            .map(|(i, &exp)| {
+                Key::new(exp)
+                    .map(|key| (key, i))
+                    .map_err(|_| MapperError::NanDelta { op: ops[i] })
+            })
+            .collect::<Result<Vec<(Key, usize)>, MapperError>>()?;
+        let mut heap = BinaryHeap::from(entries);
         let mut found: Option<(OpId, f64)> = None;
         let mut wave_pos: Vec<usize> = Vec::with_capacity(wave.size());
         let mut wave_ops: Vec<OpId> = Vec::with_capacity(wave.size());

@@ -16,12 +16,10 @@
 //! set is exactly
 //! `{{0},{1},{2},{3},{4},{5},{1,2,3},{0,1,2,3,4,5}}`.
 
-use std::collections::HashSet;
-
 use spmap_graph::{ops, NodeId, TaskGraph};
 
 use crate::forest::{decompose_forest, CutPolicy};
-use crate::sptree::SpOp;
+use crate::sptree::{SpForest, SpOp, SpTreeId};
 
 /// A set of candidate subgraphs; each is a sorted, deduplicated node list.
 #[derive(Clone, Debug)]
@@ -49,22 +47,6 @@ impl SubgraphSet {
     pub fn iter(&self) -> impl Iterator<Item = &Vec<NodeId>> {
         self.subgraphs.iter()
     }
-
-    fn from_raw(raw: Vec<Vec<NodeId>>) -> Self {
-        let mut seen: HashSet<Vec<NodeId>> = HashSet::with_capacity(raw.len());
-        let mut subgraphs = Vec::with_capacity(raw.len());
-        for mut s in raw {
-            s.sort_unstable();
-            s.dedup();
-            if s.is_empty() {
-                continue;
-            }
-            if seen.insert(s.clone()) {
-                subgraphs.push(s);
-            }
-        }
-        Self { subgraphs }
-    }
 }
 
 /// The single-node subgraph set (§III-B): one subgraph per task.
@@ -77,6 +59,9 @@ pub fn single_node_subgraphs(g: &TaskGraph) -> SubgraphSet {
 /// The series-parallel subgraph set (§III-C) built from the decomposition
 /// forest of `g` (normalized to two terminals internally; `policy` governs
 /// conflict cuts on non-SP graphs).
+///
+/// The set is all single nodes, then one list per inner operation in
+/// pre-order of the forest, keeping the first occurrence of each list.
 pub fn series_parallel_subgraphs(g: &TaskGraph, policy: CutPolicy) -> SubgraphSet {
     let n_real = g.node_count();
     if g.edge_count() == 0 {
@@ -84,29 +69,89 @@ pub fn series_parallel_subgraphs(g: &TaskGraph, policy: CutPolicy) -> SubgraphSe
     }
     let norm = ops::normalize_terminals(g);
     let result = decompose_forest(&norm.graph, norm.source, norm.sink, policy);
-    let forest = &result.forest;
+    let mut subgraphs = single_node_subgraphs(g).subgraphs;
+    subgraphs.extend(dedup_first(operation_lists(
+        &result.forest,
+        &norm.graph,
+        n_real,
+    )));
+    SubgraphSet { subgraphs }
+}
 
-    // Step 1: all single nodes.
-    let mut raw: Vec<Vec<NodeId>> = g.nodes().map(|v| vec![v]).collect();
-
-    // Steps 3 & 4: one subgraph per inner operation.
-    for t in forest.iter_tree_nodes() {
+/// The node list of every inner operation of `forest` that has at least
+/// two real nodes (shorter lists are singletons or empty), in pre-order:
+/// a series operation's nodes except its start and end node, a parallel
+/// operation's nodes including them; nodes `>= n_real` (virtual
+/// terminals) are dropped.
+///
+/// An operation's nodes are the union of its children's, so the sorted
+/// lists are built bottom-up — a parent merges its children's lists
+/// instead of re-walking its subtree — and each child list is moved into
+/// its (unique) parent.
+fn operation_lists(forest: &SpForest, graph: &TaskGraph, n_real: usize) -> Vec<Vec<NodeId>> {
+    let preorder: Vec<SpTreeId> = forest.iter_tree_nodes().collect();
+    let mut full: Vec<Vec<NodeId>> = vec![Vec::new(); forest.arena_len()];
+    let mut lists: Vec<Vec<NodeId>> = vec![Vec::new(); preorder.len()];
+    for (pos, &t) in preorder.iter().enumerate().rev() {
         let node = forest.node(t);
-        match node.op {
-            SpOp::Leaf(_) => {}
-            SpOp::Series => {
-                let mut nodes = forest.collect_nodes(t, &norm.graph);
-                nodes.retain(|&v| v != node.source && v != node.sink && v.index() < n_real);
-                raw.push(nodes);
-            }
-            SpOp::Parallel => {
-                let mut nodes = forest.collect_nodes(t, &norm.graph);
-                nodes.retain(|&v| v.index() < n_real);
-                raw.push(nodes);
+        if let SpOp::Leaf(_) = node.op {
+            continue;
+        }
+        let mut nodes = Vec::new();
+        for &c in &node.children {
+            match forest.node(c).op {
+                SpOp::Leaf(e) => {
+                    let edge = graph.edge(e);
+                    nodes.push(edge.src);
+                    nodes.push(edge.dst);
+                }
+                _ => nodes.append(&mut full[c.index()]),
             }
         }
+        // Concatenated sorted runs: the stable sort merges them.
+        nodes.sort();
+        nodes.dedup();
+        let real = nodes.partition_point(|v| v.index() < n_real);
+        let mut list = nodes[..real].to_vec();
+        if node.op == SpOp::Series {
+            list.retain(|&v| v != node.source && v != node.sink);
+        }
+        lists[pos] = list;
+        full[t.index()] = nodes;
     }
-    SubgraphSet::from_raw(raw)
+    lists.retain(|l| l.len() >= 2);
+    lists
+}
+
+/// `lists` without repeats, keeping each list's first occurrence in
+/// order.  Lists are grouped by `(length, hash)` and compared in full
+/// only within a group, so no list is cloned or hashed into a set.
+fn dedup_first(mut lists: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
+    let hash = |l: &[NodeId]| {
+        l.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ u64::from(v.0)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let keys: Vec<(usize, u64)> = lists.iter().map(|l| (l.len(), hash(l))).collect();
+    let mut order: Vec<usize> = (0..lists.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        keys[a]
+            .cmp(&keys[b])
+            .then_with(|| lists[a].cmp(&lists[b]))
+            .then(a.cmp(&b))
+    });
+    let mut repeat = vec![false; lists.len()];
+    for w in order.windows(2) {
+        if keys[w[0]] == keys[w[1]] && lists[w[0]] == lists[w[1]] {
+            repeat[w[1]] = true;
+        }
+    }
+    let mut i = 0;
+    lists.retain(|_| {
+        i += 1;
+        !repeat[i - 1]
+    });
+    lists
 }
 
 #[cfg(test)]
@@ -231,6 +276,58 @@ mod tests {
         let g = almost_sp_graph(&cfg, 200);
         let s = series_parallel_subgraphs(&g, CutPolicy::default());
         assert!(s.len() <= g.node_count() + 2 * g.edge_count());
+    }
+
+    /// The subtree-walk construction the bottom-up lists replaced: every
+    /// inner operation re-collects its nodes with `collect_nodes`, and a
+    /// set of cloned lists keeps first occurrences.
+    fn subtree_walk_subgraphs(g: &TaskGraph, policy: CutPolicy) -> Vec<Vec<NodeId>> {
+        let n_real = g.node_count();
+        let norm = ops::normalize_terminals(g);
+        let forest = decompose_forest(&norm.graph, norm.source, norm.sink, policy).forest;
+        let mut raw: Vec<Vec<NodeId>> = g.nodes().map(|v| vec![v]).collect();
+        for t in forest.iter_tree_nodes() {
+            let node = forest.node(t);
+            if let SpOp::Leaf(_) = node.op {
+                continue;
+            }
+            let mut nodes = forest.collect_nodes(t, &norm.graph);
+            nodes.retain(|&v| v.index() < n_real);
+            if node.op == SpOp::Series {
+                nodes.retain(|&v| v != node.source && v != node.sink);
+            }
+            raw.push(nodes);
+        }
+        let mut seen = std::collections::HashSet::new();
+        raw.into_iter()
+            .filter(|s| !s.is_empty() && seen.insert(s.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn bottom_up_lists_match_subtree_walks() {
+        let policies = [
+            CutPolicy::SmallestSubtree,
+            CutPolicy::LargestSubtree,
+            CutPolicy::FirstActive,
+            CutPolicy::Random { seed: 3 },
+        ];
+        for seed in 0..8 {
+            let cfg = SpGenConfig::new(30 + 10 * seed as usize, seed);
+            for g in [
+                random_sp_graph(&cfg),
+                almost_sp_graph(&cfg, 3 * seed as usize),
+            ] {
+                for policy in policies {
+                    let s = series_parallel_subgraphs(&g, policy);
+                    assert_eq!(
+                        s.subgraphs(),
+                        subtree_walk_subgraphs(&g, policy).as_slice(),
+                        "seed {seed}, {policy:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

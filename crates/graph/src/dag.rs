@@ -265,6 +265,29 @@ impl TaskGraph {
             .sum()
     }
 
+    /// Append a task with no edges, returning its id.
+    pub(crate) fn push_task(&mut self, task: Task) -> NodeId {
+        let id = NodeId(self.tasks.len() as u32);
+        self.tasks.push(task);
+        self.out_adj.push(Vec::new());
+        self.in_adj.push(Vec::new());
+        id
+    }
+
+    /// Append edge `u -> v` with the next edge id, keeping the adjacency
+    /// lists in edge-id order as [`GraphBuilder::build`] lays them out.
+    /// The caller guarantees the edge closes no cycle.
+    pub(crate) fn push_edge(&mut self, u: NodeId, v: NodeId, bytes: f64) {
+        let id = EdgeId(self.edges.len() as u32);
+        self.edges.push(Edge {
+            src: u,
+            dst: v,
+            bytes,
+        });
+        self.out_adj[u.index()].push(id);
+        self.in_adj[v.index()].push(id);
+    }
+
     /// Decompose back into a builder, e.g. to add edges to an existing graph.
     pub fn into_builder(self) -> GraphBuilder {
         GraphBuilder {

@@ -3,6 +3,8 @@
 //! Everything here is `O(V + E)` unless stated otherwise; these routines
 //! back both the generators and the model evaluator.
 
+use std::borrow::Cow;
+
 use crate::dag::{EdgeId, NodeId, Task, TaskGraph};
 
 /// Kahn topological order, or `None` if the edge set has a cycle.
@@ -149,9 +151,10 @@ pub fn critical_path(
 
 /// Result of [`normalize_terminals`]: the augmented graph plus the ids of
 /// the (possibly virtual) unique source and sink.
-pub struct NormalizedGraph {
-    /// Graph guaranteed to have exactly one source and one sink.
-    pub graph: TaskGraph,
+pub struct NormalizedGraph<'a> {
+    /// Graph guaranteed to have exactly one source and one sink: the
+    /// input itself when it already has them, else an augmented copy.
+    pub graph: Cow<'a, TaskGraph>,
     /// The unique source.
     pub source: NodeId,
     /// The unique sink.
@@ -168,8 +171,9 @@ pub struct NormalizedGraph {
 /// zero-weight virtual terminals where needed (paper §III-C: "we may just
 /// insert new start and end nodes").  Virtual tasks have zero complexity
 /// and zero-byte edges so they never affect the makespan; original node ids
-/// are preserved.
-pub fn normalize_terminals(g: &TaskGraph) -> NormalizedGraph {
+/// are preserved.  A graph that needs no virtual terminal is borrowed,
+/// not copied.
+pub fn normalize_terminals(g: &TaskGraph) -> NormalizedGraph<'_> {
     let srcs = sources(g);
     let snks = sinks(g);
     assert!(
@@ -180,44 +184,50 @@ pub fn normalize_terminals(g: &TaskGraph) -> NormalizedGraph {
     let need_snk = snks.len() > 1;
     if !need_src && !need_snk {
         return NormalizedGraph {
-            graph: g.clone(),
+            graph: Cow::Borrowed(g),
             source: srcs[0],
             sink: snks[0],
             virtual_source: false,
             virtual_sink: false,
         };
     }
-    let mut b = g.clone().into_builder();
-    let source = if need_src {
-        let v = b.add_task(Task {
-            name: "__virtual_source".into(),
+    // A virtual source has only out-edges and a virtual sink only
+    // in-edges, so neither can close a cycle: append them to a copy
+    // directly instead of rebuilding (and re-checking) the whole graph.
+    // Ids and adjacency order are those a builder would produce.
+    let mut graph = g.clone();
+    let mut add_terminal = |name: &str, ends: &[NodeId], outgoing: bool| {
+        let v = graph.push_task(Task {
+            name: name.into(),
             complexity: 0.0,
             data_points: 0.0,
             ..Task::default()
         });
-        for s in srcs {
-            b.add_edge(v, s, 0.0).expect("virtual source edge");
+        for &s in ends {
+            if outgoing {
+                graph.push_edge(v, s, 0.0);
+            } else {
+                graph.push_edge(s, v, 0.0);
+            }
         }
         v
+    };
+    let source = if need_src {
+        add_terminal("__virtual_source", &srcs, true)
     } else {
         srcs[0]
     };
     let sink = if need_snk {
-        let v = b.add_task(Task {
-            name: "__virtual_sink".into(),
-            complexity: 0.0,
-            data_points: 0.0,
-            ..Task::default()
-        });
-        for s in snks {
-            b.add_edge(s, v, 0.0).expect("virtual sink edge");
-        }
-        v
+        add_terminal("__virtual_sink", &snks, false)
     } else {
         snks[0]
     };
+    debug_assert!(
+        topo_order(&graph).is_some(),
+        "normalization preserves acyclicity"
+    );
     NormalizedGraph {
-        graph: b.build().expect("normalization preserves acyclicity"),
+        graph: Cow::Owned(graph),
         source,
         sink,
         virtual_source: need_src,
@@ -337,6 +347,46 @@ mod tests {
         // Virtual edges carry zero bytes.
         for &e in n.graph.out_edges(n.source) {
             assert_eq!(n.graph.edge(e).bytes, 0.0);
+        }
+    }
+
+    #[test]
+    fn normalize_borrows_a_two_terminal_graph() {
+        let g = diamond();
+        let n = normalize_terminals(&g);
+        assert!(matches!(n.graph, Cow::Borrowed(b) if std::ptr::eq(b, &g)));
+    }
+
+    #[test]
+    fn normalize_lays_out_virtual_terminals_like_a_rebuild() {
+        // Three sources, two sinks, with a shared middle node.
+        let mut b = GraphBuilder::new();
+        b.add_default_tasks(6);
+        for (u, v) in [(0, 3), (1, 3), (2, 3), (3, 4), (3, 5), (1, 5)] {
+            b.add_edge(NodeId(u), NodeId(v), 2.0).unwrap();
+        }
+        let g = b.build().unwrap();
+        let n = normalize_terminals(&g);
+        let mut r = g.clone().into_builder();
+        let src = r.add_task(n.graph.task(n.source).clone());
+        for s in sources(&g) {
+            r.add_edge(src, s, 0.0).unwrap();
+        }
+        let snk = r.add_task(n.graph.task(n.sink).clone());
+        for s in sinks(&g) {
+            r.add_edge(s, snk, 0.0).unwrap();
+        }
+        let r = r.build().unwrap();
+        assert_eq!((n.source, n.sink), (src, snk));
+        assert_eq!(n.graph.node_count(), r.node_count());
+        assert_eq!(n.graph.edge_count(), r.edge_count());
+        for e in r.edge_ids() {
+            let (a, b) = (n.graph.edge(e), r.edge(e));
+            assert_eq!((a.src, a.dst, a.bytes), (b.src, b.dst, b.bytes));
+        }
+        for v in r.nodes() {
+            assert_eq!(n.graph.out_edges(v), r.out_edges(v));
+            assert_eq!(n.graph.in_edges(v), r.in_edges(v));
         }
     }
 
