@@ -80,7 +80,7 @@ pub struct RunOutcome {
     /// Wall-clock execution time of the mapping algorithm itself.
     pub exec_time: Duration,
     /// How the cell's parallel batches were dispatched (serial fast
-    /// path / scoped spawns / persistent-pool wakes).  Zero for
+    /// path / persistent-pool wakes).  Zero for
     /// algorithms that never dispatch a batch (HEFT/PEFT/MILP); when
     /// the cell itself runs inside a harness worker, nested engine
     /// batches are demoted to the serial path and show up in
@@ -210,7 +210,7 @@ mod tests {
                 // The engine-backed cells dispatch at least one batch
                 // (the first exhaustive sweep / first generation).
                 _ => assert!(
-                    out.dispatch.serial_batches + out.dispatch.parallel_batches() > 0,
+                    out.dispatch.serial_batches + out.dispatch.pool_batches > 0,
                     "{}: no dispatches recorded ({:?})",
                     algo.name(),
                     out.dispatch

@@ -29,22 +29,17 @@
 //! the engine statistics.  `--full` adds the 1024/2048-node sweep
 //! points that the serial GA baseline previously made impractical.
 //!
-//! The GA's N-thread row is additionally measured under **both**
-//! parallel backends — the persistent worker pool (`SPMAP_POOL`
-//! default) and the original per-call scoped spawns — because the GA is
-//! the small-batch workload the pool exists for: roughly one parallel
-//! batch per generation, so scoped dispatch pays `(threads − 1)` thread
-//! spawns per generation where the pool pays condvar wakes of parked
-//! workers.  Results are asserted bit-identical across the backends,
-//! and the binary **fails** if the pooled row loses to the scoped row
-//! (beyond a small timer-noise allowance) — the pool CI perf gate.
+//! The GA's N-thread row runs on the persistent worker pool, the
+//! small-batch workload the pool exists for: roughly one parallel batch
+//! per generation, each paid for with condvar wakes of parked workers
+//! (`pool_batches` / `pool_dispatches` in the JSON).
 //!
 //! Each GA row also reports the population engine's deterministic
 //! work counters — stepped schedule `positions`, full/windowed
 //! simulations and the `windowed_skip_rate` — on stdout and in the
 //! JSON.
-//! `--ga-only` runs just the GA rows (and their gates: GA exactness,
-//! GA vs the serial reference, pool vs scoped) at the standard sizes,
+//! `--ga-only` runs just the GA rows (and their gates: GA exactness and
+//! GA vs the serial reference) at the standard sizes,
 //! without paying for the mapper sweeps.
 //! `--sizes a,b,..` replaces the built-in size lists of both the mapper
 //! and GA loops (including the `--full` 1024/2048 GA extension, which
@@ -111,7 +106,6 @@ use spmap_model::{
     EvalScratch, EvalTables, Mapping, Platform, ScheduleCheckpoints,
     DEFAULT_CHECKPOINT_BUDGET_BYTES,
 };
-use spmap_par::{with_backend, ParBackend};
 
 /// GA generation budget of the `ga` rows: the paper's §IV-A default in
 /// real runs, trimmed for the `--quick` CI smoke.
@@ -959,11 +953,8 @@ struct GaMeasurement {
     serial_seconds: f64,
     serial_evaluations: u64,
     batch1_seconds: f64,
-    /// N-thread row on the persistent pool (the production default).
+    /// N-thread row on the persistent pool.
     batchn_seconds: f64,
-    /// The same N-thread row on per-call scoped spawns — what the pool
-    /// is gated against.
-    scoped_seconds: f64,
     /// Schedule positions the N-thread row actually stepped — the
     /// engine's deterministic simulation work.
     positions: u64,
@@ -976,11 +967,9 @@ struct GaMeasurement {
     trails_recorded: u64,
     memo_peak: u64,
     memo_evictions: u64,
-    /// Pool batches / parked-worker wakes of the pooled row.
+    /// Pool batches / parked-worker wakes of the N-thread row.
     pool_batches: u64,
     pool_dispatches: u64,
-    /// Thread spawns the scoped row paid for the same batches.
-    scoped_spawns: u64,
 }
 
 impl GaMeasurement {
@@ -990,12 +979,6 @@ impl GaMeasurement {
 
     fn speedup_nt(&self) -> f64 {
         self.serial_seconds / self.batchn_seconds
-    }
-
-    /// How much the persistent pool wins over scoped spawns on this
-    /// small-batch workload (> 1 = pool faster).
-    fn pool_vs_scoped(&self) -> f64 {
-        self.scoped_seconds / self.batchn_seconds
     }
 
     /// Mean fraction of schedule positions a windowed replay skipped
@@ -1028,11 +1011,8 @@ impl GaMeasurement {
             .with("serial_evaluations", self.serial_evaluations)
             .fixed("batch1_seconds", self.batch1_seconds, 6)
             .fixed("batchn_seconds", self.batchn_seconds, 6)
-            .fixed("scoped_seconds", self.scoped_seconds, 6)
-            .fixed("pool_vs_scoped", self.pool_vs_scoped(), 3)
             .with("pool_batches", self.pool_batches)
             .with("pool_dispatches", self.pool_dispatches)
-            .with("scoped_spawns", self.scoped_spawns)
             .with("batchn_evaluations", self.batchn_evaluations)
             .with("positions", self.positions)
             .with("full_sims", self.full_sims)
@@ -1060,40 +1040,17 @@ fn measure_ga(nodes: usize, seed: u64, threads: usize, generations: usize) -> Ga
         ..GaConfig::default()
     };
 
-    // Gated rows are timed twice and keep the minimum: the gates
-    // compare ~5 % margins, and single runs on shared CI boxes swing
-    // more than that.  Runs are bit-identical by construction, so
-    // re-running only steadies the clock.
-    fn timed2<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-        let t0 = Instant::now();
-        let _ = f();
-        let s0 = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let out = f();
-        (s0.min(t1.elapsed().as_secs_f64()), out)
-    }
-
     let t0 = Instant::now();
     let serial = nsga2_map_reference(&g, &p, &cfg(None));
     let serial_seconds = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
     let batch1 = nsga2_map(&g, &p, &cfg(Some(1)));
     let batch1_seconds = t1.elapsed().as_secs_f64();
-    // The N-thread row, once per parallel backend.  Scoped first so the
-    // pool's lazily spawned workers cannot warm anything for it.
-    let (scoped_seconds, scoped) = timed2(|| {
-        with_backend(ParBackend::Scoped, || {
-            nsga2_map(&g, &p, &cfg(Some(threads)))
-        })
-    });
-    let (batchn_seconds, batchn) =
-        timed2(|| with_backend(ParBackend::Pool, || nsga2_map(&g, &p, &cfg(Some(threads)))));
+    let tn = Instant::now();
+    let batchn = nsga2_map(&g, &p, &cfg(Some(threads)));
+    let batchn_seconds = tn.elapsed().as_secs_f64();
 
-    for (tag, r) in [
-        ("1 thread", &batch1),
-        ("N threads scoped", &scoped),
-        ("N threads pool", &batchn),
-    ] {
+    for (tag, r) in [("1 thread", &batch1), ("N threads", &batchn)] {
         assert_eq!(serial.mapping, r.mapping, "GA engine must be exact ({tag})");
         assert_eq!(
             serial.makespan, r.makespan,
@@ -1114,21 +1071,6 @@ fn measure_ga(nodes: usize, seed: u64, threads: usize, generations: usize) -> Ga
         );
     }
 
-    // The backend must not change a single decision: same stats, and
-    // the dispatch counters prove which transport ran the batches.
-    assert_eq!(
-        scoped.engine, batchn.engine,
-        "backend changed the GA's decisions"
-    );
-    assert_eq!(
-        scoped.dispatch.pool_batches, 0,
-        "scoped row ran on the pool"
-    );
-    assert_eq!(
-        batchn.dispatch.scoped_batches, 0,
-        "pooled row ran on scoped spawns"
-    );
-
     GaMeasurement {
         nodes: g.node_count(),
         edges: g.edge_count(),
@@ -1137,10 +1079,8 @@ fn measure_ga(nodes: usize, seed: u64, threads: usize, generations: usize) -> Ga
         serial_evaluations: serial.evaluations,
         batch1_seconds,
         batchn_seconds,
-        scoped_seconds,
         pool_batches: batchn.dispatch.pool_batches,
         pool_dispatches: batchn.dispatch.pool_dispatches,
-        scoped_spawns: scoped.dispatch.scoped_spawns,
         batchn_evaluations: batchn.evaluations,
         positions: batchn.positions,
         full_sims: batchn.engine.full_sims,
@@ -1170,17 +1110,9 @@ fn print_ga_row(m: &GaMeasurement) {
         100.0 * m.memo_hit_rate(),
     );
     println!(
-        "       pool {:>6.2}s vs scoped {:>6.2}s = {:>5.2}x  \
-         ({} pool batches, {} wakes vs {} thread spawns)",
-        m.batchn_seconds,
-        m.scoped_seconds,
-        m.pool_vs_scoped(),
+        "       {} pool batches, {} wakes; windowed sims {}, positions {} (skip rate {:.1}%)",
         m.pool_batches,
         m.pool_dispatches,
-        m.scoped_spawns,
-    );
-    println!(
-        "       windowed sims {}, positions {} (skip rate {:.1}%)",
         m.windowed_sims,
         m.positions,
         100.0 * m.windowed_skip_rate(),
@@ -1357,7 +1289,7 @@ fn main() {
     // The gate takes the better of the 1-thread and N-thread rows
     // because the GA path dispatches ~one small parallel batch per
     // generation: on a box with fewer cores than `--threads`, the
-    // N-thread row measures pure spawn oversubscription (the xN column
+    // N-thread row measures pure oversubscription (the xN column
     // still reports it honestly), while on real multi-core hardware it
     // is the winner.
     let ga_best = ga_head.speedup_1t().max(ga_head.speedup_nt());
@@ -1365,46 +1297,6 @@ fn main() {
         ga_best >= 1.0,
         "engine-backed GA slower than the serial reference GA: {ga_best:.2}x"
     );
-    // The pool perf gate: on the GA's one-small-batch-per-generation
-    // workload, the persistent pool must not lose to per-call scoped
-    // spawns — that workload is exactly what the pool exists for.  A 5%
-    // allowance absorbs wall-clock timer noise on shared CI runners;
-    // the expected margin is well above it (each generation's scoped
-    // dispatch pays `threads − 1` thread spawns, the pool pays condvar
-    // wakes of parked workers).  The gate covers the standard sizes
-    // (≤ 506 nodes); `--full`'s 1024/2048-node extensions print their
-    // ratios but are not gated — per-generation batches there are long
-    // enough that dispatch overhead dilutes toward parity, so gating
-    // them would assert ~1.00x against pure timer noise.
-    const POOL_GATE_MAX_NODES: usize = 506;
-    for m in ga_rows.iter().filter(|m| m.nodes <= POOL_GATE_MAX_NODES) {
-        assert!(
-            m.batchn_seconds <= m.scoped_seconds * 1.05,
-            "persistent pool lost to scoped spawns on the small-batch GA workload \
-             ({} nodes): pool {:.3}s vs scoped {:.3}s ({:.2}x)",
-            m.nodes,
-            m.batchn_seconds,
-            m.scoped_seconds,
-            m.pool_vs_scoped(),
-        );
-    }
-    // With an explicit `--sizes` list every row may sit above the pool
-    // gate's node ceiling — then there is no gated row to headline.
-    let pool_head = ga_rows.iter().rfind(|m| m.nodes <= POOL_GATE_MAX_NODES);
-    if let Some(pool_head) = pool_head {
-        println!(
-            "ga pool-vs-scoped ({} nodes, {} generations): pool {:.2}s vs scoped {:.2}s = {:.2}x \
-             ({} pool batches / {} wakes vs {} thread spawns)",
-            pool_head.nodes,
-            pool_head.generations,
-            pool_head.batchn_seconds,
-            pool_head.scoped_seconds,
-            pool_head.pool_vs_scoped(),
-            pool_head.pool_batches,
-            pool_head.pool_dispatches,
-            pool_head.scoped_spawns,
-        );
-    }
 
     // ---- machine-readable report ----
     let report = Row::new()
@@ -1424,11 +1316,6 @@ fn main() {
         .with("ga_generations", ga_generations)
         .with("ga_headline_nodes", ga_head.nodes)
         .fixed("ga_headline_speedup", ga_head.speedup_nt(), 3)
-        .with("ga_pool_gate_nodes", pool_head.map(|h| h.nodes))
-        .with(
-            "ga_pool_vs_scoped",
-            pool_head.map(|h| Json::Fixed(h.pool_vs_scoped(), 3)),
-        )
         .fixed("ga_windowed_skip_rate", ga_head.windowed_skip_rate(), 4)
         .with("headline_nodes", bfs_head.map(|h| h.nodes))
         .with(

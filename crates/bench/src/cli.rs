@@ -13,9 +13,8 @@
 //!   `report_makespan` cost model for binaries that sweep it
 //!   (`perf_report`; `0` skips the report-mode measurements),
 //! * `--ga-only` — skip everything but the GA measurements
-//!   (`perf_report`: the full-size GA rows with their exactness,
-//!   GA-vs-serial and pool-vs-scoped gates, without paying for the
-//!   mapper sweeps),
+//!   (`perf_report`: the full-size GA rows with their exactness and
+//!   GA-vs-serial gates, without paying for the mapper sweeps),
 //! * `--xl` — scale-tier run (`perf_report`: 10k–100k-node layered
 //!   DAGs exercising the cache-conscious kernel and suffix-sparse
 //!   checkpoints; combines with `--quick` for a 10k-only smoke),

@@ -549,7 +549,7 @@ pub struct CandidateBatch<'g> {
     stats: BatchStats,
     /// The engine thread's `spmap_par` dispatch counters at
     /// construction; [`Self::dispatch`] diffs against this to report how
-    /// this run's batches were dispatched (serial / scoped / pool).
+    /// this run's batches were dispatched (serial / pool).
     dispatch_base: DispatchStats,
 }
 
@@ -800,11 +800,11 @@ impl<'g> CandidateBatch<'g> {
     }
 
     /// How this engine's parallel batches were dispatched so far
-    /// (serial fast path / scoped spawns / persistent-pool wakes) —
-    /// the calling thread's `spmap_par` counters since construction.
-    /// Unlike [`Self::stats`], these counters *do* vary with the thread
-    /// count and backend; that variation is their purpose (they price
-    /// the dispatch overhead a configuration paid), which is why they
+    /// (serial fast path / persistent-pool wakes) — the calling
+    /// thread's `spmap_par` counters since construction.  Unlike
+    /// [`Self::stats`], these counters *do* vary with the thread count;
+    /// that variation is their purpose (they price the dispatch
+    /// overhead a configuration paid), which is why they
     /// live beside, not inside, the thread-invariant [`BatchStats`].
     pub fn dispatch(&self) -> DispatchStats {
         spmap_par::dispatch_stats().since(&self.dispatch_base)

@@ -233,13 +233,12 @@ pub struct MapperResult {
     /// equivalence suite.
     pub batch: BatchStats,
     /// How the engine's parallel batches were dispatched (serial fast
-    /// path / scoped spawns / persistent-pool wakes; zero for the
-    /// serial reference path).  Unlike [`MapperResult::batch`] these
-    /// counters intentionally vary with the thread count and the
-    /// `SPMAP_POOL` backend: they price the dispatch overhead the run
-    /// paid.  Covers every search path — exhaustive sweeps and the
-    /// γ-threshold speculative waves both dispatch through the same
-    /// engine.
+    /// path / persistent-pool wakes; zero for the serial reference
+    /// path).  Unlike [`MapperResult::batch`] these counters
+    /// intentionally vary with the thread count: they price the
+    /// dispatch overhead the run paid.  Covers every search path —
+    /// exhaustive sweeps and the γ-threshold speculative waves both
+    /// dispatch through the same engine.
     pub dispatch: DispatchStats,
     /// Largest single checkpoint trail the engine held (bytes; zero for
     /// the serial reference path, which keeps no snapshot trails).  The

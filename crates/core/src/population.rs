@@ -373,11 +373,10 @@ impl<'g> PopulationEval<'g> {
     }
 
     /// How this evaluator's parallel batches were dispatched so far
-    /// (serial fast path / scoped spawns / persistent-pool wakes) —
-    /// the calling thread's `spmap_par` counters since construction.
-    /// Lives beside, not inside, the thread-invariant
-    /// [`PopulationStats`]: dispatch counters vary with the thread
-    /// count and `SPMAP_POOL` backend by design.
+    /// (serial fast path / persistent-pool wakes) — the calling
+    /// thread's `spmap_par` counters since construction.  Lives beside,
+    /// not inside, the thread-invariant [`PopulationStats`]: dispatch
+    /// counters vary with the thread count by design.
     pub fn dispatch(&self) -> DispatchStats {
         spmap_par::dispatch_stats().since(&self.dispatch_base)
     }
@@ -422,8 +421,8 @@ impl<'g> PopulationEval<'g> {
     /// state of a base schedule that agrees with the candidate before
     /// the window start (docs/PERF.md).  All memo reads/writes and
     /// every trail decision happen on this (serial) calling path, so
-    /// results, statistics, memo and cache state are thread- and
-    /// backend-invariant.
+    /// results, statistics, memo and cache state are
+    /// thread-invariant.
     pub fn evaluate(
         &mut self,
         bases: &[PopBase<'_>],

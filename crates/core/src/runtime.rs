@@ -1,8 +1,8 @@
 //! Typed runtime configuration: the `SPMAP_*` environment knobs as a
 //! value.
 //!
-//! The parallel runtime reads `SPMAP_THREADS`, `SPMAP_POOL` and
-//! `SPMAP_SHARDS` through the sanctioned helpers in `spmap-par` (the
+//! The parallel runtime reads `SPMAP_THREADS` and `SPMAP_SHARDS`
+//! through the sanctioned helpers in `spmap-par` (the
 //! only crate the determinism lint allows to touch `std::env`).  A
 //! programmatic caller — a service embedding, a test harness — should
 //! not have to mutate its own process environment to size the runtime;
@@ -16,12 +16,10 @@
 //! into explicit values, pinning a service to its construction-time
 //! runtime even if the process environment later changes.
 //!
-//! None of these knobs can change a mapping result — thread counts,
-//! backends and shard counts are bit-identical by the engine's
+//! None of these knobs can change a mapping result — thread counts
+//! and shard counts are bit-identical by the engine's
 //! determinism regime (docs/DETERMINISM.md); checkpoint budgets trade
 //! memory for replay length only.
-
-use spmap_par::ParBackend;
 
 /// Typed runtime knobs; `None` / `0` defer to the environment (see the
 /// module docs for precedence).
@@ -29,9 +27,6 @@ use spmap_par::ParBackend;
 pub struct RuntimeConfig {
     /// Engine worker threads per request (`SPMAP_THREADS`).
     pub threads: Option<usize>,
-    /// Parallel dispatch backend (`SPMAP_POOL`: the persistent worker
-    /// pool or scoped spawning).
-    pub backend: Option<ParBackend>,
     /// Worker-pool shard count (`SPMAP_SHARDS`); also the default
     /// `max_inflight` of a service sized with zeros.
     pub shards: Option<usize>,
@@ -48,7 +43,6 @@ impl RuntimeConfig {
     pub fn from_env() -> Self {
         Self {
             threads: Some(spmap_par::num_threads()),
-            backend: Some(spmap_par::backend()),
             shards: Some(spmap_par::num_shards()),
             checkpoint_budget_bytes: spmap_model::DEFAULT_CHECKPOINT_BUDGET_BYTES,
         }
@@ -57,11 +51,6 @@ impl RuntimeConfig {
     /// The effective worker thread count.
     pub fn threads(&self) -> usize {
         self.threads.unwrap_or_else(spmap_par::num_threads)
-    }
-
-    /// The effective dispatch backend.
-    pub fn backend(&self) -> ParBackend {
-        self.backend.unwrap_or_else(spmap_par::backend)
     }
 
     /// The effective shard count.
@@ -87,12 +76,10 @@ mod tests {
     fn explicit_fields_win_over_the_environment() {
         let cfg = RuntimeConfig {
             threads: Some(3),
-            backend: Some(ParBackend::Scoped),
             shards: Some(2),
             checkpoint_budget_bytes: 1 << 20,
         };
         assert_eq!(cfg.threads(), 3);
-        assert_eq!(cfg.backend(), ParBackend::Scoped);
         assert_eq!(cfg.shards(), 2);
         assert_eq!(cfg.checkpoint_budget_bytes(), 1 << 20);
     }
@@ -104,7 +91,6 @@ mod tests {
         // Whatever the environment says, the deferred accessors and the
         // pinned snapshot agree at the same instant.
         assert_eq!(deferred.threads(), pinned.threads());
-        assert_eq!(deferred.backend(), pinned.backend());
         assert_eq!(deferred.shards(), pinned.shards());
         assert_eq!(
             deferred.checkpoint_budget_bytes(),

@@ -28,7 +28,7 @@
 //! direct [`decomposition_map`](crate::decomposition_map) call, so the
 //! sharded worker pool in `spmap-par` serves co-running requests from
 //! distinct shards.  A [`RuntimeConfig`] in [`ServiceConfig`] lets
-//! embeddings pin threads/backend/shards programmatically; `None`
+//! embeddings pin threads/shards programmatically; `None`
 //! fields defer to the ambient environment (precedence: explicit >
 //! environment > default — docs/PERF.md).
 //!
@@ -106,7 +106,7 @@ pub struct ServiceConfig {
     /// [`DEFAULT_RESPONSE_BUDGET_BYTES`](crate::cache::DEFAULT_RESPONSE_BUDGET_BYTES);
     /// `1` caches nothing, since every response is larger).
     pub cache_budget_bytes: usize,
-    /// Typed runtime knobs (threads, backend, shards).  The default
+    /// Typed runtime knobs (threads, shards, checkpoint budget).  The default
     /// defers every field to the ambient `SPMAP_*` environment;
     /// explicit fields override it for every request this service runs.
     pub runtime: RuntimeConfig,
@@ -470,7 +470,7 @@ impl MapService {
     /// during the unwind, so concurrent requests are unaffected.
     pub fn map(&self, request: &MapRequest) -> Result<MapResponse, ServiceError> {
         let mut slot = self.admit()?;
-        let outcome = contain("map", || self.with_runtime_backend(|| self.run(request)));
+        let outcome = contain("map", || self.run(request));
         if matches!(outcome, Err(ServiceError::Internal { .. })) {
             slot.mark_failed();
         }
@@ -485,10 +485,7 @@ impl MapService {
     pub fn open_session(&self, request: &MapRequest) -> Result<SessionResponse, ServiceError> {
         let mut slot = self.admit()?;
         let outcome = contain("open_session", || {
-            let session = self
-                .with_runtime_backend(|| {
-                    RemapSession::open_under(request, Some(&self.cache), &self.runtime)
-                })
+            let session = RemapSession::open_under(request, Some(&self.cache), &self.runtime)
                 .map_err(ServiceError::from)?;
             let result = session.initial().clone();
             let cache_hit = session.initial_cache_hit();
@@ -639,19 +636,7 @@ impl MapService {
         }
     }
 
-    /// Run `f` under this service's configured dispatch backend.  A
-    /// `None` backend preserves the caller's ambient parallel context
-    /// (explicit > environment precedence lives in `spmap-par`);
-    /// backend choice cannot change results, only dispatch counters.
-    fn with_runtime_backend<R>(&self, f: impl FnOnce() -> R) -> R {
-        match self.runtime.backend {
-            Some(b) => spmap_par::with_backend(b, f),
-            None => f(),
-        }
-    }
-
-    /// Find session `id` and run `f` on it under its lock and the
-    /// configured backend.  `poison` picks what to do when a previous
+    /// Find session `id` and run `f` on it under its lock.  `poison` picks what to do when a previous
     /// panic poisoned the session's lock: refuse with
     /// [`ServiceError::SessionPoisoned`], or rebuild-and-recover.
     fn run_on_session<R>(
@@ -678,15 +663,13 @@ impl MapService {
                     // the session refusable (and retryable) rather than
                     // silently half-recovered.
                     let mut guard = poisoned.into_inner();
-                    self.with_runtime_backend(|| guard.rebuild())
-                        .map_err(ServiceError::from)?;
+                    guard.rebuild().map_err(ServiceError::from)?;
                     entry.clear_poison();
                     guard
                 }
             },
         };
-        let out = self.with_runtime_backend(|| f(&mut sess));
-        out.map_err(ServiceError::from)
+        f(&mut sess).map_err(ServiceError::from)
     }
 
     /// Acquire a run slot or reject; the returned guard releases the

@@ -50,7 +50,7 @@
 //! batch, config): no clocks, no thread-count dependence (the engine's
 //! bit-identity regime carries over verbatim).  Replaying the same
 //! perturbation sequence through a fresh session reproduces every bit —
-//! `tests/service.rs` pins this across shard counts and backends.
+//! `tests/service.rs` pins this across shard counts.
 
 use std::sync::{Arc, Mutex};
 

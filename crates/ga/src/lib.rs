@@ -138,11 +138,10 @@ pub struct GaResult {
     /// equivalence suite.
     pub engine: PopulationStats,
     /// How the engine's parallel batches were dispatched (serial fast
-    /// path / scoped spawns / persistent-pool wakes; zero for the
-    /// serial reference path).  Varies with the thread count and the
-    /// `SPMAP_POOL` backend by design — the GA dispatches roughly one
-    /// small batch per generation, so these counters are exactly the
-    /// spawn overhead the persistent pool exists to amortize.
+    /// path / persistent-pool wakes; zero for the serial reference
+    /// path).  Varies with the thread count by design — the GA
+    /// dispatches roughly one small batch per generation, and these
+    /// counters show how many of them woke the persistent pool.
     pub dispatch: DispatchStats,
     /// Largest single checkpoint trail the engine held (bytes; zero for
     /// the serial reference path).  The number

@@ -3,7 +3,7 @@
 //!
 //! Every exactness claim in this reproduction rests on bit-identity
 //! gates (`tests/equivalence.rs`): results and decision statistics must
-//! be invariant across `SPMAP_THREADS` × `SPMAP_POOL` × checkpoint
+//! be invariant across `SPMAP_THREADS` × `SPMAP_SHARDS` × checkpoint
 //! layouts.  Those gates can only *sample* the invariants they depend
 //! on; this tool enforces the underlying source discipline on every
 //! line of the workspace, in CI (see `docs/DETERMINISM.md`):
@@ -18,7 +18,7 @@
 //!   in a way the equivalence matrix can only catch probabilistically.
 //! * [`no-env-outside-config`] — `std::env::var`/`var_os` is confined
 //!   to the sanctioned parse helpers (`spmap_par::num_threads` /
-//!   `backend` / `num_shards` and friends in `crates/par/src/lib.rs`),
+//!   `num_shards` and friends in `crates/par/src/lib.rs`),
 //!   so ambient configuration can never leak into a decision path
 //!   unaudited.
 //! * [`no-wallclock-in-decisions`] — `Instant`/`SystemTime` are
@@ -469,8 +469,7 @@ fn threads_allowed(rel: &Path) -> bool {
 }
 
 /// The sanctioned home of `std::env::var`: the defensive parse helpers
-/// (`num_threads` / `backend` / `num_shards` / `parse_threads` /
-/// `parse_pool` / `parse_shards`).
+/// (`num_threads` / `num_shards` / `parse_threads` / `parse_shards`).
 fn env_sanctioned(rel: &Path) -> bool {
     rel == Path::new("crates/par/src/lib.rs")
 }

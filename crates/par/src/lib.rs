@@ -1,4 +1,4 @@
-//! # spmap-par — scoped parallel map with reusable per-worker state
+//! # spmap-par — parallel map with reusable per-worker state
 //!
 //! Two layers of the workspace lean on this crate:
 //!
@@ -13,30 +13,27 @@
 //! expensive part of a worker, its state `S`, lives in a [`WorkerStates`]
 //! arena that is reused across any number of calls.
 //!
-//! Two execution backends share that exact work-distribution logic:
+//! Batches that go parallel run on a process-wide [persistent worker
+//! pool](crate::pool): threads are created once, park between batches
+//! and are woken by submission, so the search loops' many small batches
+//! — roughly one per GA generation or candidate wave — pay no
+//! spawn/join per call.  [`with_pool`] routes the current thread's
+//! batches to another pool (tests and benchmarks pin shard counts that
+//! way).
 //!
-//! * **pool** (default) — a process-wide [persistent worker
-//!   pool](crate::pool): threads are created once, park between batches
-//!   and are woken by submission.  Small batches — the search loops
-//!   dispatch roughly one per GA generation or candidate wave — no
-//!   longer pay a spawn/join per call.
-//! * **scoped** (`SPMAP_POOL=0`) — per-call `std::thread::scope` spawns,
-//!   the original implementation, kept as the executable specification
-//!   ([`par_map_with_threads_scoped`]).
-//!
-//! Results are bit-identical across {serial, scoped, pool} × thread
-//! counts: both backends claim items from the same atomic counter,
-//! restore input order the same way, and hand participant `k` exclusive
-//! `&mut` access to state slot `k`.  [`with_backend`] overrides the env
-//! selection for the current thread (benchmarks, tests).
+//! Results are bit-identical to the serial path at every thread and
+//! shard count: participants claim items from one atomic counter, input
+//! order is restored afterwards, and participant `k` has exclusive
+//! `&mut` access to state slot `k`.  The serial path is the executable
+//! specification the pool is tested against.
 //!
 //! `SPMAP_THREADS=1` (or a single-item input) is a true serial fast path:
 //! the closure runs on the calling thread and **zero** threads are
 //! spawned or woken.
 //!
 //! Per-thread [`DispatchStats`] counters record how batches were
-//! dispatched (serial / scoped spawns / pool wakes); the engines in
-//! `spmap-core` surface them per run.
+//! dispatched (serial / pool wakes); the engines in `spmap-core` surface
+//! them per run.
 //!
 //! Measurement note: per-item *execution times* reported by the harness
 //! are measured inside the item closure, so wall-clock parallelism of the
@@ -46,7 +43,6 @@
 pub mod pool;
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use pool::{global as global_pool, in_pool_worker, Pool};
 
@@ -131,78 +127,27 @@ pub fn num_shards() -> usize {
     }
 }
 
-/// Which execution backend [`par_map_with_threads`] uses for batches
-/// that actually go parallel.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+// Kept until the next benchmark change drops the import in perfbench/src/bin/trace.rs.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
 pub enum ParBackend {
-    /// The persistent worker pool (parked threads, woken per batch).
-    #[default]
     Pool,
-    /// Per-call `std::thread::scope` spawns — the executable spec.
-    Scoped,
+}
+
+// Kept until the next benchmark change drops the import in perfbench/src/bin/trace.rs.
+// Runs `f`: the pool is the only parallel backend.
+#[doc(hidden)]
+pub fn with_backend<R>(_backend: ParBackend, f: impl FnOnce() -> R) -> R {
+    f()
 }
 
 thread_local! {
-    static BACKEND_OVERRIDE: Cell<Option<ParBackend>> = const { Cell::new(None) };
     static POOL_OVERRIDE: std::cell::RefCell<Option<std::sync::Arc<Pool>>> =
         const { std::cell::RefCell::new(None) };
     static DISPATCH: Cell<DispatchStats> = const { Cell::new(DispatchStats::new()) };
 }
 
-/// The backend the current thread's `par_map` calls will use: the
-/// [`with_backend`] override if one is active, otherwise `SPMAP_POOL`
-/// (`0`/`off`/`false`/`no` = scoped; `1`/`on`/`true`/`yes` = pool;
-/// unset/empty = pool).  Like `SPMAP_THREADS`, a configured-but-garbage
-/// value clamps to the *conservative* interpretation — the scoped
-/// executable-spec path — instead of being ignored.
-pub fn backend() -> ParBackend {
-    if let Some(b) = BACKEND_OVERRIDE.with(Cell::get) {
-        return b;
-    }
-    match std::env::var_os("SPMAP_POOL") {
-        Some(v) => match v.to_str() {
-            Some(s) => parse_pool(s).unwrap_or(ParBackend::Scoped),
-            None => ParBackend::Scoped,
-        },
-        None => ParBackend::Pool,
-    }
-}
-
-/// Interpret one `SPMAP_POOL` value:
-///
-/// * `0`, `off`, `false`, `no` (any case) select [`ParBackend::Scoped`],
-/// * `1`, `on`, `true`, `yes` select [`ParBackend::Pool`],
-/// * an empty / whitespace-only value is `None` — treated as unset
-///   (the pool default applies),
-/// * anything else clamps to `Scoped`: an explicitly configured but
-///   unparseable override means the operator tried to turn the pool
-///   *off*-or-*on*; the scoped path is the conservative reading.
-pub fn parse_pool(raw: &str) -> Option<ParBackend> {
-    let t = raw.trim();
-    if t.is_empty() {
-        return None;
-    }
-    Some(match t.to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" | "yes" | "pool" => ParBackend::Pool,
-        _ => ParBackend::Scoped,
-    })
-}
-
-/// Run `f` with the current thread's backend pinned to `backend`,
-/// overriding `SPMAP_POOL`; restored afterwards (panic-safe).  Used by
-/// benchmarks (pool-vs-scoped rows) and the equivalence suite.
-pub fn with_backend<R>(backend: ParBackend, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<ParBackend>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            BACKEND_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(BACKEND_OVERRIDE.with(|c| c.replace(Some(backend))));
-    f()
-}
-
-/// Run `f` with the current thread's pool-backend batches routed to
+/// Run `f` with the current thread's parallel batches routed to
 /// `pool` instead of the process-wide [`global_pool`]; restored
 /// afterwards (panic-safe).  Lets tests and benchmarks exercise several
 /// shard counts ([`Pool::with_shards`]) inside one process — the global
@@ -218,7 +163,7 @@ pub fn with_pool<R>(pool: &std::sync::Arc<Pool>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The pool the current thread's pool-backend batches run on: the
+/// The pool the current thread's parallel batches run on: the
 /// [`with_pool`] override if one is active, otherwise `None` (the
 /// process-wide [`global_pool`]).
 fn pool_override() -> Option<std::sync::Arc<Pool>> {
@@ -233,7 +178,7 @@ fn pool_override() -> Option<std::sync::Arc<Pool>> {
 /// Deliberately **not** part of the engines' decision-counter structs:
 /// decision counters are thread-count-invariant (pinned by the
 /// equivalence suite), dispatch counters intentionally are not — they
-/// exist to show the spawn overhead a given configuration paid.
+/// exist to show how a given configuration dispatched its batches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
     /// Batches run entirely on the calling thread (1 worker, ≤ 1 item,
@@ -242,18 +187,13 @@ pub struct DispatchStats {
     /// Nested calls demoted to serial (subset of `serial_batches`):
     /// `par_map` from inside a pool worker or a batch-driving thread.
     pub nested_serial: u64,
-    /// Batches dispatched through per-call scoped spawns.
-    pub scoped_batches: u64,
-    /// Threads spawned by scoped batches (`workers − 1` each — the
-    /// caller is always worker 0).
-    pub scoped_spawns: u64,
     /// Batches dispatched through the persistent pool.
     pub pool_batches: u64,
     /// Parked pool workers engaged across pool batches (`workers − 1`
     /// per batch; wakes, not spawns).
     pub pool_dispatches: u64,
-    /// Pool worker threads created (amortized across the pool's whole
-    /// lifetime — this is the count scoped dispatch would pay per call).
+    /// Pool worker threads created by this thread's batches (each
+    /// thread is created once and reused for the pool's whole lifetime).
     pub pool_workers_spawned: u64,
     /// Participant slots of this thread's pool batches claimed by a
     /// worker *homed on another shard* (work stealing: idle workers
@@ -278,8 +218,6 @@ impl DispatchStats {
         Self {
             serial_batches: 0,
             nested_serial: 0,
-            scoped_batches: 0,
-            scoped_spawns: 0,
             pool_batches: 0,
             pool_dispatches: 0,
             pool_workers_spawned: 0,
@@ -306,8 +244,6 @@ impl DispatchStats {
         DispatchStats {
             serial_batches: self.serial_batches.saturating_sub(earlier.serial_batches),
             nested_serial: self.nested_serial.saturating_sub(earlier.nested_serial),
-            scoped_batches: self.scoped_batches.saturating_sub(earlier.scoped_batches),
-            scoped_spawns: self.scoped_spawns.saturating_sub(earlier.scoped_spawns),
             pool_batches: self.pool_batches.saturating_sub(earlier.pool_batches),
             pool_dispatches: self.pool_dispatches.saturating_sub(earlier.pool_dispatches),
             pool_workers_spawned: self
@@ -319,11 +255,6 @@ impl DispatchStats {
                 .saturating_sub(earlier.pool_submission_waits),
             pool_shard_batches,
         }
-    }
-
-    /// All batches that went parallel (either backend).
-    pub fn parallel_batches(&self) -> u64 {
-        self.scoped_batches + self.pool_batches
     }
 }
 
@@ -407,7 +338,7 @@ impl<S> WorkerStates<S> {
 }
 
 /// Run the whole batch on the calling thread with state slot 0 — the
-/// shared serial fast path of every backend.
+/// serial fast path, and the specification the pool is tested against.
 pub(crate) fn serial_map<S, T, R, F>(states: &mut WorkerStates<S>, items: &[T], f: F) -> Vec<R>
 where
     F: Fn(&mut S, usize, &T) -> R,
@@ -417,7 +348,7 @@ where
 }
 
 /// Restore input order from per-participant `(index, result)` parts —
-/// the shared order-restoring tail of every parallel backend.
+/// the order-restoring tail of a pooled batch.
 pub(crate) fn merge_parts<R>(len: usize, parts: Vec<Vec<(usize, R)>>) -> Vec<R> {
     let mut out: Vec<Option<R>> = (0..len).map(|_| None).collect();
     for part in parts {
@@ -437,10 +368,9 @@ pub(crate) fn merge_parts<R>(len: usize, parts: Vec<Vec<(usize, R)>>) -> Vec<R> 
 /// entirely on the calling thread with `states` slot 0 and spawns
 /// nothing.
 ///
-/// Parallel batches are executed by the [`backend`] selected for this
-/// thread: the persistent [`pool`] by default, per-call scoped spawns
-/// under `SPMAP_POOL=0` ([`par_map_with_threads_scoped`]).  Results are
-/// bit-identical either way.
+/// Parallel batches run on the [`with_pool`] override if one is active,
+/// otherwise on the process-wide [`global_pool`].  Results are
+/// bit-identical to the serial path.
 pub fn par_map_with_threads<S, T, R, F>(
     threads: usize,
     states: &mut WorkerStates<S>,
@@ -458,92 +388,6 @@ where
         bump_dispatch(|d| d.serial_batches += 1);
         return serial_map(states, items, f);
     }
-    match backend() {
-        ParBackend::Pool => match pool_override() {
-            Some(p) => p.par_map_with_threads(threads, states, items, f),
-            None => pool::global().par_map_with_threads(threads, states, items, f),
-        },
-        ParBackend::Scoped => par_map_with_threads_scoped(threads, states, items, f),
-    }
-}
-
-/// [`par_map_with_threads`] on per-call `std::thread::scope` spawns —
-/// the original implementation, kept as the executable specification
-/// the pool backend is verified against (`tests/equivalence.rs` pins
-/// bit-identical results across {serial, scoped, pool} × thread
-/// counts).  Scoped dispatch still wins for a handful of long batches
-/// where spawn cost is noise and parked workers would only hold memory;
-/// the search loops' many small batches belong on the pool.
-pub fn par_map_with_threads_scoped<S, T, R, F>(
-    threads: usize,
-    states: &mut WorkerStates<S>,
-    items: &[T],
-    f: F,
-) -> Vec<R>
-where
-    S: Send,
-    T: Sync,
-    R: Send,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let threads = threads.min(items.len().max(1)).min(states.len());
-    if threads <= 1 || items.len() <= 1 {
-        bump_dispatch(|d| d.serial_batches += 1);
-        return serial_map(states, items, f);
-    }
-    bump_dispatch(|d| {
-        d.scoped_batches += 1;
-        d.scoped_spawns += (threads - 1) as u64;
-    });
-    let next = AtomicUsize::new(0);
-    let worker = |s: &mut S| {
-        let mut local: Vec<(usize, R)> = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= items.len() {
-                break;
-            }
-            local.push((i, f(s, i, &items[i])));
-        }
-        local
-    };
-    let mut parts: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
-    let (mine, rest) = states.states.split_at_mut(1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = rest[..threads - 1]
-            .iter_mut()
-            .map(|s| scope.spawn(|| worker(s)))
-            .collect();
-        // The calling thread is worker 0 — one fewer spawn per call.
-        parts.push(worker(&mut mine[0]));
-        for h in handles {
-            // Re-raise a worker's panic with its *original* payload —
-            // the same observable behavior as the pool backend (which
-            // captures the first payload and resumes it on the caller).
-            match h.join() {
-                Ok(part) => parts.push(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    merge_parts(items.len(), parts)
-}
-
-/// [`par_map_with_threads`] forced onto the persistent pool, regardless
-/// of the thread's [`backend`] selection: the [`with_pool`] override if
-/// one is active, otherwise the process-wide pool.
-pub fn par_map_with_threads_pooled<S, T, R, F>(
-    threads: usize,
-    states: &mut WorkerStates<S>,
-    items: &[T],
-    f: F,
-) -> Vec<R>
-where
-    S: Send,
-    T: Sync,
-    R: Send,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
     match pool_override() {
         Some(p) => p.par_map_with_threads(threads, states, items, f),
         None => pool::global().par_map_with_threads(threads, states, items, f),
@@ -719,20 +563,17 @@ mod tests {
     #[test]
     fn both_backends_propagate_the_original_panic_payload() {
         // A panicking item must surface its *own* payload to the caller
-        // under either backend — not a synthesized join-failure string.
-        // (Regression: the scoped path used `join().expect(..)`, which
-        // destroyed the payload the pool backend preserves.)
-        for b in [ParBackend::Scoped, ParBackend::Pool] {
+        // on the serial path and on the pool alike — not a synthesized
+        // join-failure string.
+        for threads in [1usize, 4] {
             let items: Vec<u32> = (0..64).collect();
             let mut states = WorkerStates::new(4, |_| ());
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                with_backend(b, || {
-                    par_map_with_threads(4, &mut states, &items, |_, _, &x| {
-                        if x == 21 {
-                            panic!("payload {x}");
-                        }
-                        x
-                    })
+                par_map_with_threads(threads, &mut states, &items, |_, _, &x| {
+                    if x == 21 {
+                        panic!("payload {x}");
+                    }
+                    x
                 })
             }));
             let payload = caught.expect_err("panic must propagate");
@@ -742,59 +583,9 @@ mod tests {
                 .unwrap_or_default();
             assert!(
                 msg.contains("payload 21"),
-                "{b:?}: payload lost, got {msg:?}"
+                "t{threads}: payload lost, got {msg:?}"
             );
         }
-    }
-
-    #[test]
-    fn parse_pool_selects_backends() {
-        assert_eq!(parse_pool("0"), Some(ParBackend::Scoped));
-        assert_eq!(parse_pool("off"), Some(ParBackend::Scoped));
-        assert_eq!(parse_pool("False"), Some(ParBackend::Scoped));
-        assert_eq!(parse_pool("no"), Some(ParBackend::Scoped));
-        assert_eq!(parse_pool("1"), Some(ParBackend::Pool));
-        assert_eq!(parse_pool("on"), Some(ParBackend::Pool));
-        assert_eq!(parse_pool("TRUE"), Some(ParBackend::Pool));
-        assert_eq!(
-            parse_pool(" pool "),
-            Some(ParBackend::Pool),
-            "whitespace tolerated"
-        );
-    }
-
-    #[test]
-    fn parse_pool_garbage_clamps_to_scoped_and_empty_is_unset() {
-        // A configured-but-broken override means the operator reached
-        // for the switch: the conservative executable-spec path wins,
-        // mirroring SPMAP_THREADS' clamp-to-serial philosophy.
-        assert_eq!(parse_pool("banana"), Some(ParBackend::Scoped));
-        assert_eq!(parse_pool("2"), Some(ParBackend::Scoped));
-        assert_eq!(parse_pool(""), None);
-        assert_eq!(parse_pool("   "), None);
-    }
-
-    #[test]
-    fn with_backend_overrides_and_restores() {
-        let before = backend();
-        with_backend(ParBackend::Scoped, || {
-            assert_eq!(backend(), ParBackend::Scoped);
-            with_backend(ParBackend::Pool, || {
-                assert_eq!(backend(), ParBackend::Pool);
-            });
-            assert_eq!(backend(), ParBackend::Scoped, "inner override restored");
-        });
-        assert_eq!(backend(), before, "outer override restored");
-    }
-
-    #[test]
-    fn with_backend_restores_on_panic() {
-        let before = backend();
-        let caught = std::panic::catch_unwind(|| {
-            with_backend(ParBackend::Scoped, || panic!("interrupted"));
-        });
-        assert!(caught.is_err());
-        assert_eq!(backend(), before, "override must not leak past a panic");
     }
 
     #[test]
@@ -806,32 +597,18 @@ mod tests {
         par_map_with_threads(1, &mut states, &items, |_, _, &x| x);
         let serial = dispatch_stats().since(&base);
         assert_eq!(serial.serial_batches, 1);
-        assert_eq!(serial.parallel_batches(), 0);
+        assert_eq!(serial.pool_batches, 0);
 
         let base = dispatch_stats();
-        with_backend(ParBackend::Scoped, || {
-            par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
-        });
-        let scoped = dispatch_stats().since(&base);
-        assert_eq!(scoped.scoped_batches, 1);
-        assert_eq!(
-            scoped.scoped_spawns, 2,
-            "workers - 1 spawns per scoped batch"
-        );
-        assert_eq!(scoped.pool_batches, 0);
-
-        let base = dispatch_stats();
-        with_backend(ParBackend::Pool, || {
-            par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
-            par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
-        });
+        par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
+        par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
         let pooled = dispatch_stats().since(&base);
         assert_eq!(pooled.pool_batches, 2);
         assert_eq!(
             pooled.pool_dispatches, 4,
             "workers - 1 wakes per pool batch"
         );
-        assert_eq!(pooled.scoped_batches, 0);
+        assert_eq!(pooled.serial_batches, 0);
         assert!(
             pooled.pool_workers_spawned <= 2,
             "pool threads are created at most once, then reused"
@@ -877,11 +654,9 @@ mod tests {
         let pool = std::sync::Arc::new(Pool::with_shards(1));
         let items: Vec<u32> = (0..64).collect();
         let mut states = WorkerStates::new(3, |_| ());
-        with_backend(ParBackend::Pool, || {
-            with_pool(&pool, || {
-                let out = par_map_with_threads(3, &mut states, &items, |_, _, &x| x + 1);
-                assert_eq!(out[5], 6);
-            });
+        with_pool(&pool, || {
+            let out = par_map_with_threads(3, &mut states, &items, |_, _, &x| x + 1);
+            assert_eq!(out[5], 6);
         });
         assert_eq!(pool.worker_count(), 2, "batch ran on the override pool");
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -900,11 +675,9 @@ mod tests {
         let items: Vec<u32> = (0..64).collect();
         let mut states = WorkerStates::new(3, |_| ());
         let base = dispatch_stats();
-        with_backend(ParBackend::Pool, || {
-            with_pool(&pool, || {
-                par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
-                par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
-            });
+        with_pool(&pool, || {
+            par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
+            par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
         });
         let d = dispatch_stats().since(&base);
         assert_eq!(d.pool_batches, 2);

@@ -1,11 +1,8 @@
 //! Persistent deterministic worker pool, sharded for concurrent callers.
 //!
-//! [`par_map_with_threads_scoped`](crate::par_map_with_threads_scoped)
-//! spawns its workers with `std::thread::scope` on **every** call.  That
-//! is the right shape for a handful of large batches (the experiment
-//! harness), but the search loops dispatch *many small* batches — the GA
-//! submits roughly one per generation, for hundreds of generations — and
-//! there the per-call spawn/join cost dominates the useful work.  This
+//! The search loops dispatch *many small* batches — the GA submits
+//! roughly one per generation, for hundreds of generations — so a
+//! per-call thread spawn/join would dominate the useful work.  This
 //! module keeps the workers alive instead: threads are created once
 //! (lazily, growing to the largest batch ever requested), park on a
 //! condvar between batches, and are woken by batch submission.
@@ -33,19 +30,17 @@
 //!
 //! ## Determinism
 //!
-//! A pooled batch reuses the *exact* work-distribution logic of the
-//! scoped path: items are claimed from a shared atomic counter, every
-//! participant collects `(index, result)` pairs, and the caller restores
-//! input order afterwards.  Participant `k` of a call receives exclusive
-//! `&mut` access to state slot `k` of the caller's [`WorkerStates`]
-//! arena — the same slot-exclusivity contract as the scoped path — and
+//! Items are claimed from a shared atomic counter, every participant
+//! collects `(index, result)` pairs, and the caller restores input order
+//! afterwards.  Participant `k` of a call receives exclusive `&mut`
+//! access to state slot `k` of the caller's [`WorkerStates`] arena, and
 //! the caller itself is participant 0, so the serial fast path and slot
 //! 0 semantics are unchanged.  Which OS thread executes which item can
-//! differ run to run (exactly as with scoped spawns), and sharding only
-//! widens that freedom; everything observable — results, their order,
-//! slot exclusivity — is identical, which is why the engines built on
-//! top stay bit-identical across {serial, scoped, pool} × thread counts
-//! × shard counts (`tests/equivalence.rs`, `tests/service.rs`).
+//! differ run to run, and sharding only widens that freedom; everything
+//! observable — results, their order, slot exclusivity — matches the
+//! serial path, which is why the engines built on top stay bit-identical
+//! across {serial, pool} × thread counts × shard counts
+//! (`tests/equivalence.rs`, `tests/service.rs`).
 //!
 //! ## Panic protocol
 //!
@@ -53,7 +48,7 @@
 //! payload is captured on the worker, the batch is drained (remaining
 //! items may still run), and the payload is re-raised on the calling
 //! thread once every participant has finished — the same observable
-//! behavior as a scoped spawn whose join propagates the panic.  The
+//! behavior as the serial path, where the panic simply unwinds.  The
 //! workers themselves return to their parking loop and the pool stays
 //! usable for the next batch.
 //!
@@ -411,10 +406,10 @@ impl Pool {
         }
     }
 
-    /// [`crate::par_map_with_threads`] executed on this pool: identical
-    /// chunk claiming, order restoration and `WorkerStates` slot
-    /// exclusivity as the scoped path, with parked persistent workers
-    /// instead of per-call spawns.  Calls from inside a pool worker (or
+    /// [`crate::par_map_with_threads`] executed on this pool: items are
+    /// claimed from one atomic counter by parked persistent workers,
+    /// input order is restored afterwards, and participant `k` owns
+    /// `WorkerStates` slot `k`.  Calls from inside a pool worker (or
     /// re-entrant calls from a batch-driving thread) run serially — see
     /// the module docs on nesting.
     pub fn par_map_with_threads<S, T, R, F>(
@@ -519,8 +514,7 @@ impl Drop for Pool {
 }
 
 /// The process-wide pool used by [`crate::par_map_with_threads`] when
-/// the pool backend is selected (and no [`crate::with_pool`] override
-/// is active).  Created on first use with [`crate::num_shards`] shards;
+/// no [`crate::with_pool`] override is active.  Created on first use with [`crate::num_shards`] shards;
 /// its workers live for the rest of the process.
 pub fn global() -> &'static Pool {
     static GLOBAL: OnceLock<Pool> = OnceLock::new();
@@ -546,8 +540,7 @@ struct MapCtx<'a, S, T, R, F> {
 }
 
 /// Run one participant of a posted batch: claim items from the shared
-/// counter until exhaustion, collecting `(index, result)` pairs —
-/// exactly the scoped path's worker loop.
+/// counter until exhaustion, collecting `(index, result)` pairs.
 ///
 /// # Safety
 ///
@@ -679,28 +672,33 @@ fn worker_loop(shared: Arc<Shared>, home: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{par_map_with_threads_scoped, ParBackend};
     use std::sync::atomic::{AtomicBool, AtomicU64};
 
     #[test]
-    fn pooled_matches_scoped_bit_for_bit() {
+    fn pooled_matches_serial_bit_for_bit() {
+        // The serial path is the specification: at every thread count,
+        // with fewer, as many and more items than threads, the pool must
+        // return the same results in the same order and process every
+        // item exactly once.
         let pool = Pool::new();
-        let items: Vec<u64> = (0..500).collect();
-        for threads in [2usize, 3, 4, 8] {
-            let mut sp = WorkerStates::new(threads, |_| 0u64);
-            let mut pp = WorkerStates::new(threads, |_| 0u64);
-            let f = |s: &mut u64, i: usize, &x: &u64| {
-                *s += 1;
-                x.wrapping_mul(31).wrapping_add(i as u64)
-            };
-            let scoped = par_map_with_threads_scoped(threads, &mut sp, &items, f);
-            let pooled = pool.par_map_with_threads(threads, &mut pp, &items, f);
-            assert_eq!(scoped, pooled, "t{threads}");
-            assert_eq!(
-                sp.iter().sum::<u64>(),
-                pp.iter().sum::<u64>(),
-                "every item processed exactly once either way"
-            );
+        let f = |s: &mut u64, i: usize, &x: &u64| {
+            *s += 1;
+            x.wrapping_mul(31).wrapping_add(i as u64)
+        };
+        for threads in [2usize, 3, 8] {
+            for len in [threads - 1, threads, threads + 1, 500] {
+                let items: Vec<u64> = (0..len as u64).map(|x| x ^ 0x5A5A).collect();
+                let mut ss = WorkerStates::new(threads, |_| 0u64);
+                let mut pp = WorkerStates::new(threads, |_| 0u64);
+                let serial = serial_map(&mut ss, &items, f);
+                let pooled = pool.par_map_with_threads(threads, &mut pp, &items, f);
+                assert_eq!(serial, pooled, "t{threads} n{len}");
+                assert_eq!(
+                    pp.iter().sum::<u64>(),
+                    len as u64,
+                    "t{threads} n{len}: every item processed exactly once"
+                );
+            }
         }
     }
 
@@ -989,22 +987,16 @@ mod tests {
         let mut states = WorkerStates::new(4, |_| ());
         let nested_parallel = AtomicU64::new(0);
         let out = pool.par_map_with_threads(4, &mut states, &items, |_, _, &x| {
-            // A pool-backend inner call must complete (no deadlock) and
-            // must stay on the current thread (serial fallback).  The
-            // backend is pinned because the ambient `SPMAP_POOL` may
-            // select scoped spawns (CI matrix), where nested calls are
-            // legitimately allowed to go parallel — only the pool must
-            // demote them.
+            // An inner call must complete (no deadlock) and must stay on
+            // the current thread (serial fallback).
             let me = std::thread::current().id();
-            crate::with_backend(ParBackend::Pool, || {
-                let inner: Vec<u32> = crate::par_map(&[1u32, 2, 3, 4, 5, 6, 7, 8], |_, &y| {
-                    if std::thread::current().id() != me {
-                        nested_parallel.fetch_add(1, Ordering::Relaxed);
-                    }
-                    y * 10
-                });
-                assert_eq!(inner, vec![10, 20, 30, 40, 50, 60, 70, 80]);
+            let inner: Vec<u32> = crate::par_map(&[1u32, 2, 3, 4, 5, 6, 7, 8], |_, &y| {
+                if std::thread::current().id() != me {
+                    nested_parallel.fetch_add(1, Ordering::Relaxed);
+                }
+                y * 10
             });
+            assert_eq!(inner, vec![10, 20, 30, 40, 50, 60, 70, 80]);
             x
         });
         assert_eq!(out, items);
@@ -1017,17 +1009,15 @@ mod tests {
 
     #[test]
     fn nested_call_through_the_global_pool_does_not_deadlock() {
-        // Same property through the public dispatcher with the pool
-        // backend forced: outer pooled batch, inner par_map from every
-        // participant (including the batch-driving caller thread).
-        crate::with_backend(ParBackend::Pool, || {
-            let items: Vec<u32> = (0..12).collect();
-            let out = crate::par_map(&items, |_, &x| {
-                let inner: u32 = crate::par_map(&[x, x + 1], |_, &y| y).iter().sum();
-                inner
-            });
-            assert_eq!(out[3], 3 + 4);
+        // Same property through the public dispatcher: outer pooled
+        // batch, inner par_map from every participant (including the
+        // batch-driving caller thread).
+        let items: Vec<u32> = (0..12).collect();
+        let out = crate::par_map(&items, |_, &x| {
+            let inner: u32 = crate::par_map(&[x, x + 1], |_, &y| y).iter().sum();
+            inner
         });
+        assert_eq!(out[3], 3 + 4);
     }
 
     #[test]

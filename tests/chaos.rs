@@ -22,13 +22,13 @@
 //!   unfaulted response stays bit-identical to the direct mapper, the
 //!   accounting balances (`admitted == completed + failed`), and a
 //!   fault-free clean pass succeeds afterwards — across explicit
-//!   {1,2}-shard pools and both dispatch backends.
+//!   {1,2}-shard pools.
 
 #![cfg(feature = "fault-injection")]
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use spmap::par::{with_backend, with_pool, ParBackend, Pool};
+use spmap::par::{with_pool, Pool};
 use spmap::prelude::*;
 use spmap_core::faults::{arm, arm_kind};
 use spmap_core::{
@@ -115,10 +115,10 @@ fn assert_outcomes_identical(tag: &str, got: &RemapOutcome, want: &RemapOutcome)
     assert_eq!(got.warm, want.warm, "{tag}: path flag diverged");
 }
 
-/// Each map-path fault site, panicking mid-request under both dispatch
-/// backends: the caller gets `Internal` with the recognizable payload
-/// naming the site, the slot is released, and an immediate rerun of the
-/// same request returns the reference bits.
+/// Each map-path fault site, panicking mid-request: the caller gets
+/// `Internal` with the recognizable payload naming the site, the slot
+/// is released, and an immediate rerun of the same request returns the
+/// reference bits.
 #[test]
 fn injected_panics_surface_as_typed_internal_errors() {
     let _suite = suite_lock();
@@ -127,49 +127,44 @@ fn injected_panics_surface_as_typed_internal_errors() {
     let want = reference(&req);
     let pool = Arc::new(Pool::with_shards(1));
 
-    for backend in [ParBackend::Pool, ParBackend::Scoped] {
-        for site in [
-            FaultSite::ArtifactBuild,
-            FaultSite::CandidateSweep,
-            FaultSite::PoolBatch,
-        ] {
-            let tag = format!("{backend:?}, {}", site.name());
-            with_pool(&pool, || {
-                with_backend(backend, || {
-                    // Fresh service per case: the first map is a cache
-                    // miss, so every site is on the executed path.
-                    let service = MapService::new(ServiceConfig::default());
-                    let fault = arm(site, 1);
-                    let err = service.map(&req).expect_err("armed panic must fault");
-                    assert!(fault.fired(), "{tag}: fault never fired");
-                    drop(fault);
-                    match &err {
-                        ServiceError::Internal {
-                            site: boundary,
-                            payload,
-                        } => {
-                            assert_eq!(*boundary, "map", "{tag}");
-                            assert!(
-                                payload.starts_with(INJECTED_PANIC_PREFIX)
-                                    && payload.contains(site.name()),
-                                "{tag}: payload lost: {payload}"
-                            );
-                        }
-                        other => panic!("{tag}: expected Internal, got {other:?}"),
-                    }
-                    let resp = service.map(&req).expect("service survives the panic");
+    for site in [
+        FaultSite::ArtifactBuild,
+        FaultSite::CandidateSweep,
+        FaultSite::PoolBatch,
+    ] {
+        let tag = site.name();
+        with_pool(&pool, || {
+            // Fresh service per case: the first map is a cache
+            // miss, so every site is on the executed path.
+            let service = MapService::new(ServiceConfig::default());
+            let fault = arm(site, 1);
+            let err = service.map(&req).expect_err("armed panic must fault");
+            assert!(fault.fired(), "{tag}: fault never fired");
+            drop(fault);
+            match &err {
+                ServiceError::Internal {
+                    site: boundary,
+                    payload,
+                } => {
+                    assert_eq!(*boundary, "map", "{tag}");
                     assert!(
-                        !resp.cache_hit,
-                        "{tag}: a contained panic must not be cached"
+                        payload.starts_with(INJECTED_PANIC_PREFIX) && payload.contains(site.name()),
+                        "{tag}: payload lost: {payload}"
                     );
-                    assert_identical(&tag, &resp.result, &want);
-                    let stats = service.stats();
-                    assert_eq!(stats.failed, 1, "{tag}");
-                    assert_eq!(stats.completed, 1, "{tag}");
-                    assert_eq!(stats.admitted, stats.completed + stats.failed, "{tag}");
-                })
-            });
-        }
+                }
+                other => panic!("{tag}: expected Internal, got {other:?}"),
+            }
+            let resp = service.map(&req).expect("service survives the panic");
+            assert!(
+                !resp.cache_hit,
+                "{tag}: a contained panic must not be cached"
+            );
+            assert_identical(tag, &resp.result, &want);
+            let stats = service.stats();
+            assert_eq!(stats.failed, 1, "{tag}");
+            assert_eq!(stats.completed, 1, "{tag}");
+            assert_eq!(stats.admitted, stats.completed + stats.failed, "{tag}");
+        });
     }
 }
 
@@ -336,7 +331,7 @@ fn poisoned_sessions_can_be_disposed_by_close() {
 }
 
 /// Eight concurrent clients with seeded faults firing mid-flight,
-/// across explicit {1,2}-shard pools and both dispatch backends: every
+/// across explicit {1,2}-shard pools: every
 /// response is either bit-identical to the direct mapper or a typed
 /// error, the accounting balances at every round's quiescence, and a
 /// fault-free clean pass follows.  The fault schedule is a pure
@@ -354,95 +349,89 @@ fn concurrent_chaos_keeps_unfaulted_responses_bit_identical() {
 
     for shards in [1usize, 2] {
         let pool = Arc::new(Pool::with_shards(shards));
-        for backend in [ParBackend::Pool, ParBackend::Scoped] {
-            let tag = format!("shards {shards}, backend {backend:?}");
-            // Queue room for every client, and a byte-starved cache so
-            // the artifact-build site stays on every request's path.
-            let service = Arc::new(MapService::new(ServiceConfig {
-                max_inflight: CLIENTS,
-                max_queued: CLIENTS,
-                cache_budget_bytes: 1,
-                ..ServiceConfig::default()
-            }));
-            let mut schedule = FaultSchedule::new(0xC4A05);
-            let mut ok = 0u64;
-            for round in 0..ROUNDS {
-                let (site, hit, kind) = schedule.next_map_plan(8);
-                let fault = arm_kind(site, hit, kind);
-                let round_ok: u64 = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..CLIENTS)
-                        .map(|client| {
-                            let service = Arc::clone(&service);
-                            let pool = Arc::clone(&pool);
-                            let requests = &requests;
-                            let references = &references;
-                            let tag = &tag;
-                            scope.spawn(move || {
-                                with_pool(&pool, || {
-                                    with_backend(backend, || {
-                                        let mut ok = 0u64;
-                                        for i in 0..REQUESTS_PER_CLIENT {
-                                            let idx = (client + i) % requests.len();
-                                            match service.map(&requests[idx]) {
-                                                Ok(resp) => {
-                                                    assert_identical(
-                                                        &format!(
-                                                            "{tag}, round {round}, \
-                                                             client {client}, graph {idx}"
-                                                        ),
-                                                        &resp.result,
-                                                        &references[idx],
-                                                    );
-                                                    ok += 1;
-                                                }
-                                                Err(ServiceError::Internal { .. })
-                                                | Err(ServiceError::Mapper(_)) => {}
-                                                Err(other) => panic!(
-                                                    "{tag}, round {round}: \
-                                                     unexpected outcome {other:?}"
+        let tag = format!("shards {shards}");
+        // Queue room for every client, and a byte-starved cache so
+        // the artifact-build site stays on every request's path.
+        let service = Arc::new(MapService::new(ServiceConfig {
+            max_inflight: CLIENTS,
+            max_queued: CLIENTS,
+            cache_budget_bytes: 1,
+            ..ServiceConfig::default()
+        }));
+        let mut schedule = FaultSchedule::new(0xC4A05);
+        let mut ok = 0u64;
+        for round in 0..ROUNDS {
+            let (site, hit, kind) = schedule.next_map_plan(8);
+            let fault = arm_kind(site, hit, kind);
+            let round_ok: u64 = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..CLIENTS)
+                    .map(|client| {
+                        let service = Arc::clone(&service);
+                        let pool = Arc::clone(&pool);
+                        let requests = &requests;
+                        let references = &references;
+                        let tag = &tag;
+                        scope.spawn(move || {
+                            with_pool(&pool, || {
+                                let mut ok = 0u64;
+                                for i in 0..REQUESTS_PER_CLIENT {
+                                    let idx = (client + i) % requests.len();
+                                    match service.map(&requests[idx]) {
+                                        Ok(resp) => {
+                                            assert_identical(
+                                                &format!(
+                                                    "{tag}, round {round}, \
+                                                     client {client}, graph {idx}"
                                                 ),
-                                            }
+                                                &resp.result,
+                                                &references[idx],
+                                            );
+                                            ok += 1;
                                         }
-                                        ok
-                                    })
-                                })
+                                        Err(ServiceError::Internal { .. })
+                                        | Err(ServiceError::Mapper(_)) => {}
+                                        Err(other) => panic!(
+                                            "{tag}, round {round}: \
+                                             unexpected outcome {other:?}"
+                                        ),
+                                    }
+                                }
+                                ok
                             })
                         })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("containment breached: client panicked"))
-                        .sum()
-                });
-                ok += round_ok;
-                drop(fault);
-                let stats = service.stats();
-                assert_eq!(
-                    stats.admitted,
-                    stats.completed + stats.failed,
-                    "{tag}, round {round}: accounting must balance at quiescence"
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("containment breached: client panicked"))
+                    .sum()
+            });
+            ok += round_ok;
+            drop(fault);
+            let stats = service.stats();
+            assert_eq!(
+                stats.admitted,
+                stats.completed + stats.failed,
+                "{tag}, round {round}: accounting must balance at quiescence"
+            );
+        }
+        let submitted = (CLIENTS * ROUNDS * REQUESTS_PER_CLIENT) as u64;
+        let stats = service.stats();
+        assert_eq!(stats.admitted, submitted, "{tag}: queue room for everyone");
+        assert_eq!(stats.rejected, 0, "{tag}");
+        assert!(ok > 0, "{tag}: chaos rounds still produce good responses");
+
+        // Fault-free clean pass on the same service: nothing leaked
+        // into its future.
+        with_pool(&pool, || {
+            for (i, req) in requests.iter().enumerate() {
+                let resp = service.map(req).expect("clean pass");
+                assert_identical(
+                    &format!("{tag}, clean pass graph {i}"),
+                    &resp.result,
+                    &references[i],
                 );
             }
-            let submitted = (CLIENTS * ROUNDS * REQUESTS_PER_CLIENT) as u64;
-            let stats = service.stats();
-            assert_eq!(stats.admitted, submitted, "{tag}: queue room for everyone");
-            assert_eq!(stats.rejected, 0, "{tag}");
-            assert!(ok > 0, "{tag}: chaos rounds still produce good responses");
-
-            // Fault-free clean pass on the same service: nothing leaked
-            // into its future.
-            with_pool(&pool, || {
-                with_backend(backend, || {
-                    for (i, req) in requests.iter().enumerate() {
-                        let resp = service.map(req).expect("clean pass");
-                        assert_identical(
-                            &format!("{tag}, clean pass graph {i}"),
-                            &resp.result,
-                            &references[i],
-                        );
-                    }
-                })
-            });
-        }
+        });
     }
 }

@@ -22,7 +22,6 @@
 //! and memo-capacity corners (tiny capacities force evictions; results
 //! must not move).
 
-use spmap::par::{with_backend, ParBackend};
 use spmap::prelude::*;
 use spmap_core::{decomposition_map_reference, CostModel, EngineConfig};
 
@@ -368,16 +367,14 @@ fn mapper_memo_capacity_corners_are_exact_and_bounded() {
     }
 }
 
-/// The worker-pool runtime's headline property: for every execution
-/// backend in {serial reference, scoped spawns, persistent pool} and
-/// every `SPMAP_THREADS`-style worker count in {1, 3, 8}, the mapper
-/// produces the identical mapping, makespan, history, iteration count
-/// and baseline, bit for bit — and the engine's decision statistics
-/// agree between the scoped and pooled backends at equal thread counts
-/// (the backend only changes *which threads* run the simulations, never
-/// what is simulated).
+/// The worker-pool runtime's headline property: at every
+/// `SPMAP_THREADS`-style worker count in {1, 3, 8}, the mapper on the
+/// persistent pool produces the serial reference's mapping, makespan,
+/// history, iteration count and baseline, bit for bit (the pool only
+/// changes *which threads* run the simulations, never what is
+/// simulated).
 #[test]
-fn pool_scoped_serial_bit_identity_across_thread_counts() {
+fn pool_serial_bit_identity_across_thread_counts() {
     for case in 0..5u64 {
         let g = graph_case(case + 1100);
         let p = platform_case(case);
@@ -391,50 +388,33 @@ fn pool_scoped_serial_bit_identity_across_thread_counts() {
             let reference = decomposition_map_reference(&g, &p, &base);
             for threads in [1usize, 3, 8] {
                 let cfg = engine_cfg(base, threads, true, true);
-                let scoped = with_backend(ParBackend::Scoped, || decomposition_map(&g, &p, &cfg));
-                let pooled = with_backend(ParBackend::Pool, || decomposition_map(&g, &p, &cfg));
-                for (tag, r) in [("scoped", &scoped), ("pool", &pooled)] {
-                    let tag = format!("case {case} t{threads} {tag} {:?}", base.heuristic);
-                    assert_eq!(r.mapping, reference.mapping, "{tag}: mapping differs");
-                    assert_eq!(r.makespan, reference.makespan, "{tag}: makespan differs");
-                    assert_eq!(r.history, reference.history, "{tag}: history differs");
-                    assert_eq!(
-                        r.iterations, reference.iterations,
-                        "{tag}: iterations differ"
-                    );
-                    assert_eq!(
-                        r.cpu_only_makespan, reference.cpu_only_makespan,
-                        "{tag}: baseline differs"
-                    );
-                }
+                let r = decomposition_map(&g, &p, &cfg);
+                let tag = format!("case {case} t{threads} {:?}", base.heuristic);
+                assert_eq!(r.mapping, reference.mapping, "{tag}: mapping differs");
+                assert_eq!(r.makespan, reference.makespan, "{tag}: makespan differs");
+                assert_eq!(r.history, reference.history, "{tag}: history differs");
                 assert_eq!(
-                    scoped.batch, pooled.batch,
-                    "case {case} t{threads}: decision stats must not depend on the backend"
+                    r.iterations, reference.iterations,
+                    "{tag}: iterations differ"
                 );
                 assert_eq!(
-                    scoped.evaluations, pooled.evaluations,
-                    "case {case} t{threads}"
+                    r.cpu_only_makespan, reference.cpu_only_makespan,
+                    "{tag}: baseline differs"
                 );
                 if threads > 1 {
-                    // The dispatch counters must prove the intended
-                    // backend actually ran the parallel batches.
-                    assert_eq!(scoped.dispatch.pool_batches, 0, "case {case} t{threads}");
-                    assert_eq!(pooled.dispatch.scoped_batches, 0, "case {case} t{threads}");
-                    assert_eq!(
-                        scoped.dispatch.parallel_batches(),
-                        pooled.dispatch.parallel_batches(),
-                        "case {case} t{threads}: same batches, different transport"
-                    );
+                    // The dispatch counters must prove the pool actually
+                    // ran the parallel batches.
+                    assert!(r.dispatch.pool_batches > 0, "{tag}: {:?}", r.dispatch);
                 }
             }
         }
     }
 }
 
-/// Same burden for the report-mode sweep: {scoped, pool} × {1, 3, 8}
-/// reproduce the reference serial multi-schedule sweep bit for bit.
+/// Same burden for the report-mode sweep: the pool at {1, 3, 8} threads
+/// reproduces the reference serial multi-schedule sweep bit for bit.
 #[test]
-fn report_pool_scoped_serial_bit_identity() {
+fn report_pool_serial_bit_identity() {
     for case in 0..3u64 {
         let g = graph_case(case + 1200);
         let p = platform_case(case);
@@ -448,24 +428,24 @@ fn report_pool_scoped_serial_bit_identity() {
         let reference = decomposition_map_reference(&g, &p, &base);
         for threads in [1usize, 3, 8] {
             let cfg = engine_cfg(base, threads, true, true);
-            for (tag, backend) in [("scoped", ParBackend::Scoped), ("pool", ParBackend::Pool)] {
-                let r = with_backend(backend, || decomposition_map(&g, &p, &cfg));
-                let tag = format!("report case {case} t{threads} {tag}");
-                assert_eq!(r.mapping, reference.mapping, "{tag}");
-                assert_eq!(r.makespan, reference.makespan, "{tag}");
-                assert_eq!(r.history, reference.history, "{tag}");
+            let r = decomposition_map(&g, &p, &cfg);
+            let tag = format!("report case {case} t{threads}");
+            assert_eq!(r.mapping, reference.mapping, "{tag}");
+            assert_eq!(r.makespan, reference.makespan, "{tag}");
+            assert_eq!(r.history, reference.history, "{tag}");
+            if threads > 1 {
+                assert!(r.dispatch.pool_batches > 0, "{tag}: {:?}", r.dispatch);
             }
         }
     }
 }
 
-/// And for the GA: the engine-backed NSGA-II reproduces the serial
-/// reference per seed under both parallel backends at every worker
-/// count {1, 3, 8}, with engine statistics that are invariant across
-/// backends *and* worker counts (every memo and trail decision lives on
-/// the serial path).
+/// And for the GA: the engine-backed NSGA-II on the pool reproduces the
+/// serial reference per seed at every worker count {1, 3, 8}, with
+/// engine statistics that are invariant across worker counts (every
+/// memo and trail decision lives on the serial path).
 #[test]
-fn ga_pool_scoped_serial_bit_identity() {
+fn ga_pool_serial_bit_identity() {
     for case in 0..3u64 {
         let g = graph_case(case + 1300);
         let p = platform_case(case);
@@ -479,40 +459,27 @@ fn ga_pool_scoped_serial_bit_identity() {
         let reference = nsga2_map_reference(&g, &p, &cfg(None));
         let mut stats = None;
         for threads in [1usize, 3, 8] {
-            let scoped = with_backend(ParBackend::Scoped, || {
-                nsga2_map(&g, &p, &cfg(Some(threads)))
-            });
-            let pooled = with_backend(ParBackend::Pool, || nsga2_map(&g, &p, &cfg(Some(threads))));
-            for (tag, r) in [("scoped", &scoped), ("pool", &pooled)] {
-                let tag = format!("ga case {case} t{threads} {tag}");
-                assert_eq!(r.mapping, reference.mapping, "{tag}: mapping differs");
-                assert_eq!(r.makespan, reference.makespan, "{tag}: makespan differs");
-                assert_eq!(
-                    r.best_per_generation, reference.best_per_generation,
-                    "{tag}: history differs"
-                );
-                assert_eq!(
-                    r.cpu_only_makespan, reference.cpu_only_makespan,
-                    "{tag}: baseline differs"
-                );
-            }
+            let r = nsga2_map(&g, &p, &cfg(Some(threads)));
+            let tag = format!("ga case {case} t{threads}");
+            assert_eq!(r.mapping, reference.mapping, "{tag}: mapping differs");
+            assert_eq!(r.makespan, reference.makespan, "{tag}: makespan differs");
             assert_eq!(
-                scoped.engine, pooled.engine,
-                "ga case {case} t{threads}: decision stats must not depend on the backend"
+                r.best_per_generation, reference.best_per_generation,
+                "{tag}: history differs"
+            );
+            assert_eq!(
+                r.cpu_only_makespan, reference.cpu_only_makespan,
+                "{tag}: baseline differs"
             );
             match &stats {
-                None => stats = Some(scoped.engine),
+                None => stats = Some(r.engine),
                 Some(s) => assert_eq!(
-                    scoped.engine, *s,
-                    "ga case {case} t{threads}: decision stats must not depend on the thread count"
+                    r.engine, *s,
+                    "{tag}: decision stats must not depend on the thread count"
                 ),
             }
             if threads > 1 {
-                assert_eq!(scoped.dispatch.pool_batches, 0, "ga case {case} t{threads}");
-                assert_eq!(
-                    pooled.dispatch.scoped_batches, 0,
-                    "ga case {case} t{threads}"
-                );
+                assert!(r.dispatch.pool_batches > 0, "{tag}: {:?}", r.dispatch);
             }
         }
     }
@@ -567,7 +534,7 @@ fn ga_trail_cache_capacity_corners_are_exact_and_bounded() {
 /// pop-order} × checkpoint layout {dense, suffix-sparse} are pure
 /// layout choices — the mapper (both cost models) reproduces the serial
 /// reference bit for bit in every cell, across worker counts {1, 3, 8}
-/// and both parallel backends, with decision statistics that are
+/// on the pool, with decision statistics that are
 /// invariant across the whole matrix (layout must not change what the
 /// engine computes, only where the bytes live).  A starved checkpoint
 /// byte budget (which can only widen the snapshot interval) must not
@@ -605,41 +572,39 @@ fn mapper_numbering_and_checkpoint_layout_matrix_bit_identity() {
             let mut suffix_peak = u64::MAX;
             for &(numbering, dense, budget) in &cells {
                 for threads in [1usize, 3, 8] {
-                    for (btag, backend) in
-                        [("scoped", ParBackend::Scoped), ("pool", ParBackend::Pool)]
-                    {
-                        let cfg = MapperConfig {
-                            engine: EngineConfig {
-                                threads: Some(threads),
-                                numbering,
-                                dense_checkpoints: dense,
-                                checkpoint_budget_bytes: budget,
-                                ..EngineConfig::default()
-                            },
-                            ..base
-                        };
-                        let r = with_backend(backend, || decomposition_map(&g, &p, &cfg));
-                        let tag = format!(
-                            "case {case} {cost:?} {numbering:?} dense={dense} \
-                             budget={budget} t{threads} {btag}"
-                        );
-                        assert_eq!(r.mapping, reference.mapping, "{tag}: mapping differs");
-                        assert_eq!(r.makespan, reference.makespan, "{tag}: makespan differs");
-                        assert_eq!(r.history, reference.history, "{tag}: history differs");
-                        match &stats {
-                            None => stats = Some(r.batch),
-                            Some(s) => assert_eq!(
-                                r.batch, *s,
-                                "{tag}: decision stats must not depend on layout, \
-                                 threads or backend"
-                            ),
-                        }
-                        if numbering == Numbering::PopOrder && budget == 0 {
-                            if dense {
-                                dense_peak = dense_peak.max(r.checkpoint_peak_bytes);
-                            } else {
-                                suffix_peak = suffix_peak.min(r.checkpoint_peak_bytes);
-                            }
+                    let cfg = MapperConfig {
+                        engine: EngineConfig {
+                            threads: Some(threads),
+                            numbering,
+                            dense_checkpoints: dense,
+                            checkpoint_budget_bytes: budget,
+                            ..EngineConfig::default()
+                        },
+                        ..base
+                    };
+                    let r = decomposition_map(&g, &p, &cfg);
+                    let tag = format!(
+                        "case {case} {cost:?} {numbering:?} dense={dense} \
+                         budget={budget} t{threads}"
+                    );
+                    assert_eq!(r.mapping, reference.mapping, "{tag}: mapping differs");
+                    assert_eq!(r.makespan, reference.makespan, "{tag}: makespan differs");
+                    assert_eq!(r.history, reference.history, "{tag}: history differs");
+                    match &stats {
+                        None => stats = Some(r.batch),
+                        Some(s) => assert_eq!(
+                            r.batch, *s,
+                            "{tag}: decision stats must not depend on layout or threads"
+                        ),
+                    }
+                    if threads > 1 {
+                        assert!(r.dispatch.pool_batches > 0, "{tag}: {:?}", r.dispatch);
+                    }
+                    if numbering == Numbering::PopOrder && budget == 0 {
+                        if dense {
+                            dense_peak = dense_peak.max(r.checkpoint_peak_bytes);
+                        } else {
+                            suffix_peak = suffix_peak.min(r.checkpoint_peak_bytes);
                         }
                     }
                 }
@@ -654,7 +619,7 @@ fn mapper_numbering_and_checkpoint_layout_matrix_bit_identity() {
 }
 
 /// Same matrix for the GA: every numbering × layout × budget cell, at
-/// every worker count and under both parallel backends, reproduces the
+/// every worker count on the pool, reproduces the
 /// serial reference GA per seed bit for bit with matrix-invariant
 /// engine statistics.
 #[test]
@@ -688,39 +653,35 @@ fn ga_numbering_and_checkpoint_layout_matrix_bit_identity() {
         let mut suffix_peak = u64::MAX;
         for &(numbering, dense, budget) in &cells {
             for threads in [1usize, 3, 8] {
-                for (btag, backend) in [("scoped", ParBackend::Scoped), ("pool", ParBackend::Pool)]
-                {
-                    let r = with_backend(backend, || {
-                        nsga2_map(&g, &p, &cfg(Some(threads), numbering, dense, budget))
-                    });
-                    let tag = format!(
-                        "ga case {case} {numbering:?} dense={dense} budget={budget} \
-                         t{threads} {btag}"
-                    );
-                    assert_eq!(r.mapping, reference.mapping, "{tag}: mapping differs");
-                    assert_eq!(r.makespan, reference.makespan, "{tag}: makespan differs");
-                    assert_eq!(
-                        r.best_per_generation, reference.best_per_generation,
-                        "{tag}: history differs"
-                    );
-                    assert_eq!(
-                        r.cpu_only_makespan, reference.cpu_only_makespan,
-                        "{tag}: baseline differs"
-                    );
-                    match &stats {
-                        None => stats = Some(r.engine),
-                        Some(s) => assert_eq!(
-                            r.engine, *s,
-                            "{tag}: engine stats must not depend on layout, threads \
-                             or backend"
-                        ),
-                    }
-                    if numbering == Numbering::PopOrder && budget == 0 {
-                        if dense {
-                            dense_peak = dense_peak.max(r.checkpoint_peak_bytes);
-                        } else {
-                            suffix_peak = suffix_peak.min(r.checkpoint_peak_bytes);
-                        }
+                let r = nsga2_map(&g, &p, &cfg(Some(threads), numbering, dense, budget));
+                let tag = format!(
+                    "ga case {case} {numbering:?} dense={dense} budget={budget} t{threads}"
+                );
+                assert_eq!(r.mapping, reference.mapping, "{tag}: mapping differs");
+                assert_eq!(r.makespan, reference.makespan, "{tag}: makespan differs");
+                assert_eq!(
+                    r.best_per_generation, reference.best_per_generation,
+                    "{tag}: history differs"
+                );
+                assert_eq!(
+                    r.cpu_only_makespan, reference.cpu_only_makespan,
+                    "{tag}: baseline differs"
+                );
+                match &stats {
+                    None => stats = Some(r.engine),
+                    Some(s) => assert_eq!(
+                        r.engine, *s,
+                        "{tag}: engine stats must not depend on layout or threads"
+                    ),
+                }
+                if threads > 1 {
+                    assert!(r.dispatch.pool_batches > 0, "{tag}: {:?}", r.dispatch);
+                }
+                if numbering == Numbering::PopOrder && budget == 0 {
+                    if dense {
+                        dense_peak = dense_peak.max(r.checkpoint_peak_bytes);
+                    } else {
+                        suffix_peak = suffix_peak.min(r.checkpoint_peak_bytes);
                     }
                 }
             }

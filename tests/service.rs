@@ -1,19 +1,19 @@
 //! Concurrency stress suite for the sharded pool and the mapping
 //! service.
 //!
-//! The tentpole guarantee of the sharded backend: shard choice affects
-//! only *which threads execute* a batch, never its result.  Here eight
+//! The core guarantee of the sharded pool: shard choice affects only
+//! *which threads execute* a batch, never its result.  Here eight
 //! submitter threads interleave mapper and GA runs against shared
 //! pools of every shard count (explicit 1, explicit 2, and the
-//! `SPMAP_SHARDS` auto default) under both dispatch backends, and every
-//! result must be bit-identical to its serial reference.  The service
+//! `SPMAP_SHARDS` auto default), and every result must be bit-identical
+//! to its serial reference.  The service
 //! half pins the response cache (cold vs warm vs evicting — identical
 //! results) and the admission gate's invariants (`peak_inflight` never
 //! exceeds the bound; zero-queue services reject instead of buffering).
 
 use std::sync::Arc;
 
-use spmap::par::{with_backend, with_pool, ParBackend, Pool};
+use spmap::par::{with_pool, Pool};
 use spmap::prelude::*;
 use spmap_core::{
     decomposition_map_reference, EngineConfig, MapRequest, MapService, MapperResult, ServiceConfig,
@@ -89,9 +89,8 @@ fn assert_ga_identical(tag: &str, got: &GaResult, want: &GaResult) {
 
 /// Eight threads hammer one shared pool with interleaved mapper and GA
 /// runs; every result must match its serial reference bit for bit, for
-/// every shard count and both backends.  (`SPMAP_POOL` itself cannot be
-/// toggled from inside a test process — `with_backend` covers both
-/// values of that env knob, and `with_pool` covers `SPMAP_SHARDS`.)
+/// every shard count.  (`SPMAP_SHARDS` itself cannot be changed from
+/// inside a test process — `with_pool` covers its values.)
 #[test]
 fn concurrent_mapper_and_ga_runs_are_bit_identical() {
     const SUBMITTERS: usize = 8;
@@ -122,66 +121,46 @@ fn concurrent_mapper_and_ga_runs_are_bit_identical() {
             Some(n) => Pool::with_shards(n),
             None => Pool::new(), // the SPMAP_SHARDS / auto default
         });
-        for backend in [ParBackend::Pool, ParBackend::Scoped] {
-            let tag = format!("shards {:?}, backend {backend:?}", shards);
-            std::thread::scope(|scope| {
-                for (i, g) in graphs.iter().enumerate() {
-                    let pool = Arc::clone(&pool);
-                    let platform = &platform;
-                    let mapper_want = &mapper_refs[i];
-                    let engine_want = &engine_refs[i];
-                    let ga_want = &ga_refs[i];
-                    let tag = &tag;
-                    scope.spawn(move || {
-                        // Thread-local knobs must be installed on the
-                        // submitter thread itself.
-                        with_pool(&pool, || {
-                            with_backend(backend, || {
-                                if i % 2 == 0 {
-                                    let r =
-                                        decomposition_map(g, platform, &mapper_cfg(ENGINE_THREADS));
-                                    assert_mapper_identical(
-                                        &format!("{tag}, mapper {i}"),
-                                        &r,
-                                        mapper_want,
-                                    );
-                                    assert_eq!(
-                                        r.batch, engine_want.batch,
-                                        "{tag}, mapper {i}: decision counters \
-                                         not concurrency-invariant"
-                                    );
-                                    let r2 = nsga2_map(
-                                        g,
-                                        platform,
-                                        &ga_cfg(ENGINE_THREADS, 900 + i as u64),
-                                    );
-                                    assert_ga_identical(&format!("{tag}, ga {i}"), &r2, ga_want);
-                                } else {
-                                    let r2 = nsga2_map(
-                                        g,
-                                        platform,
-                                        &ga_cfg(ENGINE_THREADS, 900 + i as u64),
-                                    );
-                                    assert_ga_identical(&format!("{tag}, ga {i}"), &r2, ga_want);
-                                    let r =
-                                        decomposition_map(g, platform, &mapper_cfg(ENGINE_THREADS));
-                                    assert_mapper_identical(
-                                        &format!("{tag}, mapper {i}"),
-                                        &r,
-                                        mapper_want,
-                                    );
-                                    assert_eq!(
-                                        r.batch, engine_want.batch,
-                                        "{tag}, mapper {i}: decision counters \
-                                         not concurrency-invariant"
-                                    );
-                                }
-                            })
-                        });
+        let tag = format!("shards {shards:?}");
+        std::thread::scope(|scope| {
+            for (i, g) in graphs.iter().enumerate() {
+                let pool = Arc::clone(&pool);
+                let platform = &platform;
+                let mapper_want = &mapper_refs[i];
+                let engine_want = &engine_refs[i];
+                let ga_want = &ga_refs[i];
+                let tag = &tag;
+                scope.spawn(move || {
+                    // Thread-local knobs must be installed on the
+                    // submitter thread itself.
+                    with_pool(&pool, || {
+                        if i % 2 == 0 {
+                            let r = decomposition_map(g, platform, &mapper_cfg(ENGINE_THREADS));
+                            assert_mapper_identical(&format!("{tag}, mapper {i}"), &r, mapper_want);
+                            assert_eq!(
+                                r.batch, engine_want.batch,
+                                "{tag}, mapper {i}: decision counters \
+                                 not concurrency-invariant"
+                            );
+                            let r2 =
+                                nsga2_map(g, platform, &ga_cfg(ENGINE_THREADS, 900 + i as u64));
+                            assert_ga_identical(&format!("{tag}, ga {i}"), &r2, ga_want);
+                        } else {
+                            let r2 =
+                                nsga2_map(g, platform, &ga_cfg(ENGINE_THREADS, 900 + i as u64));
+                            assert_ga_identical(&format!("{tag}, ga {i}"), &r2, ga_want);
+                            let r = decomposition_map(g, platform, &mapper_cfg(ENGINE_THREADS));
+                            assert_mapper_identical(&format!("{tag}, mapper {i}"), &r, mapper_want);
+                            assert_eq!(
+                                r.batch, engine_want.batch,
+                                "{tag}, mapper {i}: decision counters \
+                                 not concurrency-invariant"
+                            );
+                        }
                     });
-                }
-            });
-        }
+                });
+            }
+        });
     }
 }
 
@@ -226,9 +205,7 @@ fn artifact_cache_temperature_cannot_change_results() {
     cold_and_warm("default pool");
     for shards in [1usize, 2] {
         with_pool(&Arc::new(Pool::with_shards(shards)), || {
-            with_backend(ParBackend::Pool, || {
-                cold_and_warm(&format!("{shards}-shard pool"))
-            })
+            cold_and_warm(&format!("{shards}-shard pool"))
         });
     }
 
@@ -380,9 +357,9 @@ fn assert_outcomes_identical(tag: &str, got: &RemapOutcome, want: &RemapOutcome)
 
 /// Session lifecycle under concurrency: one thread per session drives
 /// its perturbation sequence through a shared service, across explicit
-/// shard counts and both dispatch backends, and every remap outcome is
-/// bit-identical to serially replaying the same sequence through a
-/// fresh standalone [`RemapSession`].  Empty-perturbation remaps return
+/// shard counts, and every remap outcome is bit-identical to serially
+/// replaying the same sequence through a fresh standalone
+/// [`RemapSession`].  Empty-perturbation remaps return
 /// the incumbent bits at every point of the life cycle.
 #[test]
 fn concurrent_session_remaps_replay_bit_identically() {
@@ -419,66 +396,62 @@ fn concurrent_session_remaps_replay_bit_identically() {
 
     for shards in [1usize, 2] {
         let pool = Arc::new(Pool::with_shards(shards));
-        for backend in [ParBackend::Pool, ParBackend::Scoped] {
-            let tag = format!("shards {shards}, backend {backend:?}");
-            let service = Arc::new(MapService::new(ServiceConfig {
-                max_inflight: SESSIONS,
-                max_queued: SESSIONS,
-                ..ServiceConfig::default()
-            }));
-            std::thread::scope(|scope| {
-                for (i, req) in requests.iter().enumerate() {
-                    let pool = Arc::clone(&pool);
-                    let service = Arc::clone(&service);
-                    let seq = &sequences[i];
-                    let want = &references[i];
-                    let tag = &tag;
-                    scope.spawn(move || {
-                        with_pool(&pool, || {
-                            with_backend(backend, || {
-                                let opened = service.open_session(req).expect("open");
-                                assert_eq!(
-                                    opened.result.mapping,
-                                    want_initial(req),
-                                    "{tag}, session {i}: opening map diverged"
-                                );
-                                for (step, batch) in seq.iter().enumerate() {
-                                    // An empty batch between real steps
-                                    // must hand back the incumbent bits.
-                                    let noop = service.remap(opened.id, &[]).expect("noop");
-                                    assert!(noop.noop, "{tag}, session {i}: empty batch ran");
-                                    let out = service.remap(opened.id, batch).expect("remap");
-                                    assert_eq!(
-                                        noop.mapping,
-                                        if step == 0 {
-                                            opened.result.mapping.clone()
-                                        } else {
-                                            want[step - 1].mapping.clone()
-                                        },
-                                        "{tag}, session {i}: noop changed bits"
-                                    );
-                                    assert_outcomes_identical(
-                                        &format!("{tag}, session {i}, step {step}"),
-                                        &out,
-                                        &want[step],
-                                    );
-                                }
-                                let closed = service.close_session(opened.id).expect("close");
-                                let last = want.last().expect("non-empty sequence");
-                                assert_eq!(closed.mapping, last.mapping);
-                                assert_eq!(closed.makespan, last.makespan);
-                            })
-                        });
+        let tag = format!("shards {shards}");
+        let service = Arc::new(MapService::new(ServiceConfig {
+            max_inflight: SESSIONS,
+            max_queued: SESSIONS,
+            ..ServiceConfig::default()
+        }));
+        std::thread::scope(|scope| {
+            for (i, req) in requests.iter().enumerate() {
+                let pool = Arc::clone(&pool);
+                let service = Arc::clone(&service);
+                let seq = &sequences[i];
+                let want = &references[i];
+                let tag = &tag;
+                scope.spawn(move || {
+                    with_pool(&pool, || {
+                        let opened = service.open_session(req).expect("open");
+                        assert_eq!(
+                            opened.result.mapping,
+                            want_initial(req),
+                            "{tag}, session {i}: opening map diverged"
+                        );
+                        for (step, batch) in seq.iter().enumerate() {
+                            // An empty batch between real steps
+                            // must hand back the incumbent bits.
+                            let noop = service.remap(opened.id, &[]).expect("noop");
+                            assert!(noop.noop, "{tag}, session {i}: empty batch ran");
+                            let out = service.remap(opened.id, batch).expect("remap");
+                            assert_eq!(
+                                noop.mapping,
+                                if step == 0 {
+                                    opened.result.mapping.clone()
+                                } else {
+                                    want[step - 1].mapping.clone()
+                                },
+                                "{tag}, session {i}: noop changed bits"
+                            );
+                            assert_outcomes_identical(
+                                &format!("{tag}, session {i}, step {step}"),
+                                &out,
+                                &want[step],
+                            );
+                        }
+                        let closed = service.close_session(opened.id).expect("close");
+                        let last = want.last().expect("non-empty sequence");
+                        assert_eq!(closed.mapping, last.mapping);
+                        assert_eq!(closed.makespan, last.makespan);
                     });
-                }
-            });
-            let stats = service.stats();
-            assert_eq!(stats.sessions_opened, SESSIONS as u64, "{tag}");
-            assert_eq!(stats.sessions_closed, SESSIONS as u64, "{tag}");
-            assert_eq!(stats.remaps, (SESSIONS * 4) as u64, "{tag}");
-            assert_eq!(stats.remaps_noop, (SESSIONS * 4) as u64, "{tag}");
-            assert_eq!(service.open_sessions(), 0, "{tag}");
-        }
+                });
+            }
+        });
+        let stats = service.stats();
+        assert_eq!(stats.sessions_opened, SESSIONS as u64, "{tag}");
+        assert_eq!(stats.sessions_closed, SESSIONS as u64, "{tag}");
+        assert_eq!(stats.remaps, (SESSIONS * 4) as u64, "{tag}");
+        assert_eq!(stats.remaps_noop, (SESSIONS * 4) as u64, "{tag}");
+        assert_eq!(service.open_sessions(), 0, "{tag}");
     }
 }
 
