@@ -30,8 +30,10 @@
 //!    first-lowest-index tie-break is preserved bit for bit.
 //! 3. **Parallel simulation.**  Candidates that survive 1–2 are simulated
 //!    in fixed-size chunks through `spmap_par::par_map_with`, one
-//!    reusable [`spmap_model::EvalScratch`] (plus mapping copy) per
-//!    worker against a shared immutable [`spmap_model::EvalTables`].
+//!    reusable [`spmap_model::EvalScratch`] (plus a device copy of the
+//!    base mapping in the tables' internal numbering, patched per
+//!    candidate) per worker against a shared immutable
+//!    [`spmap_model::EvalTables`].
 //!    Results are reduced serially in candidate-index order, so thread
 //!    arrival order can never influence a tie-break, and
 //!    `SPMAP_THREADS=1` degenerates to the serial fast path with zero
@@ -403,13 +405,51 @@ impl DeltaOp {
     }
 }
 
-/// Per-worker state: an evaluation scratch plus a private mapping copy
-/// that is lazily re-synced to the engine's base mapping.
+/// Per-worker state: an evaluation scratch plus a private copy of the
+/// engine's base mapping in the tables' internal numbering — the device
+/// view the window kernel replays against.  The copy is re-gathered once
+/// per base generation and patched per candidate through the undo log,
+/// so no window pays a mapping gather.
 struct Worker {
     scratch: EvalScratch,
-    mapping: Mapping,
+    /// `devices[v_int]`: the base mapping (plus the current candidate's
+    /// moves while it is simulated), internal numbering.
+    devices: Vec<DeviceId>,
+    /// `(node, its base device)` of every node the current candidate
+    /// moved (external ids).
     undo: Vec<(NodeId, DeviceId)>,
     generation: u64,
+}
+
+impl Worker {
+    /// Bring the device copy up to base `generation` if it is stale.
+    #[inline]
+    fn sync(&mut self, tables: &EvalTables<'_>, base: &Mapping, generation: u64) {
+        if self.generation != generation {
+            tables.gather_internal(base, &mut self.devices);
+            self.generation = generation;
+        }
+    }
+
+    /// Move node `v` to device `d`, logging its base device for
+    /// [`Self::revert`] (a no-op when `v` already sits on `d`).
+    #[inline]
+    fn apply(&mut self, tables: &EvalTables<'_>, v: NodeId, d: DeviceId) {
+        let slot = &mut self.devices[tables.internal_index(v)];
+        if *slot != d {
+            self.undo.push((v, *slot));
+            *slot = d;
+        }
+    }
+
+    /// Restore every node the current candidate moved.
+    #[inline]
+    fn revert(&mut self, tables: &EvalTables<'_>) {
+        for &(v, old) in self.undo.iter().rev() {
+            self.devices[tables.internal_index(v)] = old;
+        }
+        self.undo.clear();
+    }
 }
 
 /// A candidate evaluation awaiting simulation.
@@ -546,6 +586,8 @@ pub struct CandidateBatch<'g> {
     /// The candidates of the current sweep awaiting simulation; kept
     /// between calls so a sweep reuses the previous one's allocation.
     pending: Vec<Pending>,
+    /// Simulation outcomes of the current chunk, reused like `pending`.
+    results: Vec<CandidateSim>,
     stats: BatchStats,
     /// The engine thread's `spmap_par` dispatch counters at
     /// construction; [`Self::dispatch`] diffs against this to report how
@@ -686,9 +728,11 @@ impl<'g> CandidateBatch<'g> {
         };
         let threads = cfg.effective_threads();
         let mapping = base.unwrap_or_else(|| Mapping::all_default(graph, platform));
+        // Generation 0 is never a base generation, so every worker
+        // gathers the base on its first candidate.
         let workers = WorkerStates::new(threads, |_| Worker {
             scratch: EvalScratch::for_tables(&tables),
-            mapping: mapping.clone(),
+            devices: Vec::with_capacity(graph.node_count()),
             undo: Vec::with_capacity(graph.node_count()),
             generation: 0,
         });
@@ -722,6 +766,7 @@ impl<'g> CandidateBatch<'g> {
             target: vec![DeviceId(0); n],
             mark_gen: 0,
             pending: Vec::new(),
+            results: Vec::new(),
             stats: BatchStats::default(),
             dispatch_base: spmap_par::dispatch_stats(),
             tables,
@@ -839,28 +884,33 @@ impl<'g> CandidateBatch<'g> {
     /// Evaluate the improvement delta of every operation in `ops`
     /// against the current makespan, in one batch.
     ///
-    /// Returns one delta per op, in input order: `cur - makespan(op)`,
+    /// Overwrites `deltas` with one delta per op, in input order (a
+    /// caller that reuses the buffer pays no allocation per sweep):
+    /// `cur - makespan(op)`,
     /// or `NEG_INFINITY` for no-ops, area-infeasible candidates and —
     /// when `prune` is on — candidates whose bound proves they cannot
     /// strictly beat the best delta of this batch (such candidates can
     /// never be committed, so the mapper's choice is unaffected).
     ///
-    /// The returned deltas are bit-identical to serial re-simulation of
+    /// The deltas are bit-identical to serial re-simulation of
     /// every op; only the amount of work spent differs.
-    pub fn evaluate_ops(&mut self, ops: &[OpId], prune: bool) -> Vec<f64> {
+    pub fn evaluate_ops(&mut self, ops: &[OpId], prune: bool, deltas: &mut Vec<f64>) {
+        deltas.clear();
         // An Error-kind injected fault degrades the sweep into NaN
         // deltas, which both search drivers (exhaustive and threshold,
         // full map or warm remap) convert to a typed
         // `MapperError::NanDelta` — the engine's one typed error path.
         if crate::faults::fault_point(crate::faults::FaultSite::CandidateSweep) {
-            return vec![f64::NAN; ops.len()];
+            deltas.resize(ops.len(), f64::NAN);
+            return;
         }
         if prune {
             self.ensure_prune_aggregates();
         }
         let threshold = self.cur * REL_EPS;
-        let mut deltas = vec![f64::NEG_INFINITY; ops.len()];
+        deltas.resize(ops.len(), f64::NEG_INFINITY);
         let mut pending = std::mem::take(&mut self.pending);
+        let mut results = std::mem::take(&mut self.results);
         pending.clear();
         // Incumbent: the best delta already known in this batch (memo
         // hits count — they are exact).  Only *strictly* better bounds
@@ -941,7 +991,7 @@ impl<'g> CandidateBatch<'g> {
             // The cutoff a candidate must *strictly* exceed to be proven
             // useless; ties survive, so index-order tie-breaks hold.
             let cutoff = if prune { self.cur - cut } else { f64::INFINITY };
-            let results = self.simulate_chunk(chunk, cutoff);
+            self.simulate_chunk(chunk, cutoff, &mut results);
             for (p, r) in chunk.iter().zip(&results) {
                 self.stats.sched_simulated += u64::from(r.completed);
                 self.stats.sched_aborted += u64::from(r.aborted);
@@ -980,7 +1030,7 @@ impl<'g> CandidateBatch<'g> {
             next = end;
         }
         self.pending = pending;
-        deltas
+        self.results = results;
     }
 
     /// Evaluate the improvement of every multi-assignment candidate in
@@ -1004,6 +1054,7 @@ impl<'g> CandidateBatch<'g> {
         let threshold = self.cur * REL_EPS;
         let mut out = vec![f64::NEG_INFINITY; deltas.len()];
         let mut pending = std::mem::take(&mut self.pending);
+        let mut results = std::mem::take(&mut self.results);
         pending.clear();
         let mut incumbent = f64::NEG_INFINITY;
         for (slot, delta) in deltas.iter().enumerate() {
@@ -1062,7 +1113,7 @@ impl<'g> CandidateBatch<'g> {
             }
             let chunk = &pending[next..end];
             let cutoff = if prune { self.cur - cut } else { f64::INFINITY };
-            let results = self.simulate_delta_chunk(chunk, deltas, cutoff);
+            self.simulate_delta_chunk(chunk, deltas, cutoff, &mut results);
             for (p, r) in chunk.iter().zip(&results) {
                 self.stats.sched_simulated += u64::from(r.completed);
                 self.stats.sched_aborted += u64::from(r.aborted);
@@ -1086,6 +1137,7 @@ impl<'g> CandidateBatch<'g> {
             next = end;
         }
         self.pending = pending;
+        self.results = results;
         out
     }
 
@@ -1453,16 +1505,16 @@ impl<'g> CandidateBatch<'g> {
     }
 
     /// Simulate the candidates of one chunk in parallel (or serially for
-    /// one thread — zero spawns): each worker syncs its private mapping
-    /// copy to the base, applies the candidate's moves, and sweeps the
-    /// candidate's unresolved schedules — each windowed from the
-    /// candidate's first affected position *under that schedule*, with a
-    /// running cutoff `min(cutoff, best schedule so far)` (a schedule
-    /// aborted by the running cutoff is strictly worse than some other
-    /// schedule of the same candidate, so it can never be the reported
-    /// minimum).  Returns outcomes in chunk order.  Area feasibility was
-    /// prechecked.
-    fn simulate_chunk(&mut self, chunk: &[Pending], cutoff: f64) -> Vec<CandidateSim> {
+    /// one thread — zero spawns) into `out`, in chunk order: each worker
+    /// syncs its private device copy to the base, applies the
+    /// candidate's moves, and sweeps the candidate's unresolved
+    /// schedules — each windowed from the candidate's first affected
+    /// position *under that schedule*, with a running cutoff
+    /// `min(cutoff, best schedule so far)` (a schedule aborted by the
+    /// running cutoff is strictly worse than some other schedule of the
+    /// same candidate, so it can never be the reported minimum).  Area
+    /// feasibility was prechecked.
+    fn simulate_chunk(&mut self, chunk: &[Pending], cutoff: f64, out: &mut Vec<CandidateSim>) {
         let tables = &self.tables;
         let schedules = &self.schedules;
         let checkpoints = &self.checkpoints;
@@ -1472,32 +1524,21 @@ impl<'g> CandidateBatch<'g> {
         let subgraphs = &self.subgraphs;
         let devices = &self.devices;
         let bank = self.cfg.memo && self.schedules.len() > 1;
-        par_map_with_threads(self.threads, &mut self.workers, chunk, |w, _, p| {
+        par_map_with_threads(self.threads, &mut self.workers, chunk, out, |w, _, p| {
             // Fires *inside* a pool worker when threads ≥ 2, so an
             // injected panic exercises the pool's panic protocol
             // (first payload wins, batch drains, caller re-raises)
             // before the service boundary contains it.
             crate::faults::fault_point(crate::faults::FaultSite::PoolBatch);
-            if w.generation != generation {
-                w.mapping.copy_from(base);
-                w.generation = generation;
-            }
+            w.sync(tables, base, generation);
             let d = devices[p.op % m];
-            let sub = &subgraphs[p.op / m];
-            w.undo.clear();
-            for &v in sub {
-                let old = w.mapping.device(v);
-                if old != d {
-                    w.undo.push((v, old));
-                    w.mapping.set(v, d);
-                }
+            for &v in &subgraphs[p.op / m] {
+                w.apply(tables, v, d);
             }
             let sim = sweep_candidate(tables, schedules, checkpoints, w, p, cutoff, bank);
-            for &(v, old) in w.undo.iter().rev() {
-                w.mapping.set(v, old);
-            }
+            w.revert(tables);
             sim
-        })
+        });
     }
 
     /// [`Self::simulate_chunk`] for [`DeltaOp`] candidates: identical
@@ -1508,32 +1549,23 @@ impl<'g> CandidateBatch<'g> {
         chunk: &[Pending],
         deltas: &[DeltaOp],
         cutoff: f64,
-    ) -> Vec<CandidateSim> {
+        out: &mut Vec<CandidateSim>,
+    ) {
         let tables = &self.tables;
         let schedules = &self.schedules;
         let checkpoints = &self.checkpoints;
         let base = &self.mapping;
         let generation = self.generation;
         let bank = self.cfg.memo && self.schedules.len() > 1;
-        par_map_with_threads(self.threads, &mut self.workers, chunk, |w, _, p| {
-            if w.generation != generation {
-                w.mapping.copy_from(base);
-                w.generation = generation;
-            }
-            w.undo.clear();
+        par_map_with_threads(self.threads, &mut self.workers, chunk, out, |w, _, p| {
+            w.sync(tables, base, generation);
             for &(v, d) in &deltas[p.op].changes {
-                let old = w.mapping.device(v);
-                if old != d {
-                    w.undo.push((v, old));
-                    w.mapping.set(v, d);
-                }
+                w.apply(tables, v, d);
             }
             let sim = sweep_candidate(tables, schedules, checkpoints, w, p, cutoff, bank);
-            for &(v, old) in w.undo.iter().rev() {
-                w.mapping.set(v, old);
-            }
+            w.revert(tables);
             sim
-        })
+        });
     }
 
     /// Simulate the current base mapping on worker 0's scratch under
@@ -1636,7 +1668,7 @@ impl<'g> CandidateBatch<'g> {
 }
 
 /// Sweep the unresolved schedules (`p.mask`) of one candidate whose
-/// moves are already applied to `w.mapping` (undo log in `w.undo`):
+/// moves are already applied to `w.devices` (undo log in `w.undo`):
 /// each schedule is windowed from the candidate's minimum earliest-read
 /// position over all changed nodes *under that schedule*, under the
 /// running cutoff `min(cutoff, best schedule so far)`.  Shared by the
@@ -1662,9 +1694,9 @@ fn sweep_candidate(
         let order = schedules.order(s);
         let from_pos = order.window_start_over(w.undo.iter().map(|&(v, _)| v));
         let running = if best < cutoff { best } else { cutoff };
-        match tables.makespan_order_window(
+        match tables.makespan_order_window_internal(
             &mut w.scratch,
-            &w.mapping,
+            &w.devices,
             order,
             checkpoints.get(s),
             from_pos,
@@ -1753,6 +1785,13 @@ mod tests {
     use spmap_graph::{augment, AugmentConfig};
     use spmap_model::Evaluator;
 
+    /// [`CandidateBatch::evaluate_ops`] into a fresh buffer.
+    fn sweep(eng: &mut CandidateBatch<'_>, ops: &[OpId], prune: bool) -> Vec<f64> {
+        let mut deltas = Vec::new();
+        eng.evaluate_ops(ops, prune, &mut deltas);
+        deltas
+    }
+
     fn setup(seed: u64) -> (TaskGraph, Platform) {
         let mut g = random_sp_graph(&SpGenConfig::new(40, seed));
         augment(&mut g, &AugmentConfig::default(), seed);
@@ -1816,7 +1855,7 @@ mod tests {
                 },
             );
             let ops: Vec<OpId> = (0..eng.op_count()).collect();
-            let batch = eng.evaluate_ops(&ops, false);
+            let batch = sweep(&mut eng, &ops, false);
             let reference = reference_deltas(&g, &p, &eng);
             assert_eq!(batch, reference, "seed {seed}");
         }
@@ -1835,7 +1874,7 @@ mod tests {
                 },
             );
             let ops: Vec<OpId> = (0..eng.op_count()).collect();
-            let pruned = eng.evaluate_ops(&ops, true);
+            let pruned = sweep(&mut eng, &ops, true);
             let reference = reference_deltas(&g, &p, &eng);
             let threshold = eng.current_makespan() * REL_EPS;
             let pick = |d: &[f64]| {
@@ -1873,7 +1912,7 @@ mod tests {
             },
         );
         let ops: Vec<OpId> = (0..eng.op_count()).collect();
-        let deltas = eng.evaluate_ops(&ops, false);
+        let deltas = sweep(&mut eng, &ops, false);
         let threshold = eng.current_makespan() * REL_EPS;
         let (best_op, best_delta) =
             deltas
@@ -1904,7 +1943,7 @@ mod tests {
         // match the serial probe, and the committed op's device-variants
         // (same subgraph, other devices) must be answered by the memo.
         let hits_before = eng.stats().memo_hits;
-        let again = eng.evaluate_ops(&ops, false);
+        let again = sweep(&mut eng, &ops, false);
         let reference = reference_deltas(&g, &p, &eng);
         assert_eq!(again, reference);
         assert!(eng.stats().memo_hits > hits_before, "memo produced hits");
@@ -2020,7 +2059,7 @@ mod tests {
                 seed ^ 0xabc,
             );
             let ops: Vec<OpId> = (0..eng.op_count()).collect();
-            let batch = eng.evaluate_ops(&ops, false);
+            let batch = sweep(&mut eng, &ops, false);
             let reference = reference_report_deltas(&g, &p, &eng, k, seed ^ 0xabc);
             assert_eq!(batch, reference, "seed {seed} k {k}");
             assert!(
@@ -2045,7 +2084,7 @@ mod tests {
                 seed,
             );
             let ops: Vec<OpId> = (0..eng.op_count()).collect();
-            let pruned = eng.evaluate_ops(&ops, true);
+            let pruned = sweep(&mut eng, &ops, true);
             let reference = reference_report_deltas(&g, &p, &eng, k, seed);
             let threshold = eng.current_makespan() * REL_EPS;
             let pick = |d: &[f64]| {
@@ -2084,7 +2123,7 @@ mod tests {
             77,
         );
         let ops: Vec<OpId> = (0..eng.op_count()).collect();
-        let deltas = eng.evaluate_ops(&ops, false);
+        let deltas = sweep(&mut eng, &ops, false);
         let threshold = eng.current_makespan() * REL_EPS;
         let (best_op, best_delta) =
             deltas
@@ -2108,7 +2147,7 @@ mod tests {
         // Re-evaluating after the commit must again match the serial
         // sweep bitwise, and the banked (fingerprint, schedule) values
         // must produce hits.
-        let again = eng.evaluate_ops(&ops, false);
+        let again = sweep(&mut eng, &ops, false);
         let reference = reference_report_deltas(&g, &p, &eng, k, 77);
         assert_eq!(again, reference);
         assert!(
@@ -2134,7 +2173,7 @@ mod tests {
                 8,
             );
             let ops: Vec<OpId> = (0..eng.op_count()).collect();
-            let deltas = eng.evaluate_ops(&ops, true);
+            let deltas = sweep(&mut eng, &ops, true);
             results.push((deltas, eng.stats()));
         }
         assert_eq!(results[0], results[1]);
@@ -2289,7 +2328,7 @@ mod tests {
             },
         );
         let ops: Vec<OpId> = (0..eng.op_count()).collect();
-        let op_deltas = eng.evaluate_ops(&ops, false);
+        let op_deltas = sweep(&mut eng, &ops, false);
         // Build deltas mirroring the first few ops exactly.
         let deltas: Vec<DeltaOp> = ops
             .iter()
@@ -2327,7 +2366,7 @@ mod tests {
                 let ops: Vec<OpId> = (0..eng.op_count()).collect();
                 let mut all = Vec::new();
                 for _ in 0..3 {
-                    all.push(eng.evaluate_ops(&ops, false));
+                    all.push(sweep(&mut eng, &ops, false));
                 }
                 (all, eng.stats(), eng.memo_len())
             };
@@ -2365,7 +2404,7 @@ mod tests {
             let ops: Vec<OpId> = (0..eng.op_count()).collect();
             let mut all = Vec::new();
             for _ in 0..3 {
-                all.push(eng.evaluate_ops(&ops, false));
+                all.push(sweep(&mut eng, &ops, false));
             }
             (all, eng.stats(), eng.memo_len(), eng.sched_memo_len())
         };
@@ -2469,8 +2508,8 @@ mod tests {
                 let (mut driven, mut fresh) = driven_and_fresh(&tables, cost, 3);
                 let ops: Vec<OpId> = (0..driven.op_count()).collect();
                 let before = driven.stats();
-                let a = driven.evaluate_ops(&ops, true);
-                let b = fresh.evaluate_ops(&ops, true);
+                let a = sweep(&mut driven, &ops, true);
+                let b = sweep(&mut fresh, &ops, true);
                 let tag = format!("seed {seed}, {cost:?}");
                 assert_eq!(driven.aggregates_generation, driven.generation, "{tag}");
                 let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -2552,7 +2591,7 @@ mod tests {
         assert_eq!(eng.aggregates_generation, 0, "setup builds none");
         let mut commits = 0;
         for _ in 0..3 {
-            let deltas = eng.evaluate_ops(&ops, true);
+            let deltas = sweep(&mut eng, &ops, true);
             assert_eq!(eng.aggregates_generation, eng.generation, "pruned sweep");
             let best = (0..ops.len())
                 .filter(|&i| eng.improves(deltas[i]))
@@ -2560,7 +2599,7 @@ mod tests {
             let Some(op) = best else { break };
             eng.commit(op);
             commits += 1;
-            eng.evaluate_ops(&ops, false);
+            sweep(&mut eng, &ops, false);
             assert!(
                 eng.aggregates_generation < eng.generation,
                 "neither a commit nor an unpruned sweep rebuilds"
@@ -2685,7 +2724,7 @@ mod tests {
                 },
             );
             let ops: Vec<OpId> = (0..eng.op_count()).collect();
-            let deltas = eng.evaluate_ops(&ops, true);
+            let deltas = sweep(&mut eng, &ops, true);
             results.push((deltas, eng.stats()));
         }
         assert_eq!(results[0], results[1]);

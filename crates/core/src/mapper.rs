@@ -264,11 +264,9 @@ pub type OpId = usize;
 /// The candidate subgraph set of `strategy` on `graph`.
 pub(crate) fn build_subgraphs(graph: &TaskGraph, strategy: SubgraphStrategy) -> Vec<Vec<NodeId>> {
     match strategy {
-        SubgraphStrategy::SingleNode => single_node_subgraphs(graph).subgraphs().to_vec(),
+        SubgraphStrategy::SingleNode => single_node_subgraphs(graph).into_vec(),
         SubgraphStrategy::SeriesParallel { cut_policy } => {
-            series_parallel_subgraphs(graph, cut_policy)
-                .subgraphs()
-                .to_vec()
+            series_parallel_subgraphs(graph, cut_policy).into_vec()
         }
     }
 }
@@ -388,9 +386,10 @@ fn exhaustive_search(
     prune: bool,
 ) -> Result<(usize, Vec<f64>), MapperError> {
     let mut history = Vec::new();
+    let mut deltas = Vec::with_capacity(ops.len());
     let mut iterations = 0;
     while iterations < cap {
-        let deltas = engine.evaluate_ops(ops, prune);
+        engine.evaluate_ops(ops, prune, &mut deltas);
         // Serial reduce in ascending op order: ties go to the lowest op
         // id, exactly like the serial reference — thread arrival order
         // cannot influence the choice.

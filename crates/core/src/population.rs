@@ -542,8 +542,13 @@ impl<'g> PopulationEval<'g> {
         let tables = &self.tables;
         let threads = self.threads;
         let trails = &self.trails;
-        let base_ms: Vec<Option<f64>> =
-            par_map_with_threads(threads, &mut self.workers, &record, |w, _, item| {
+        let mut base_ms: Vec<Option<f64>> = Vec::with_capacity(record.len());
+        par_map_with_threads(
+            threads,
+            &mut self.workers,
+            &record,
+            &mut base_ms,
+            |w, _, item| {
                 let &(b, slot) = item;
                 let mut store = trails.stores[slot]
                     .write()
@@ -554,7 +559,8 @@ impl<'g> PopulationEval<'g> {
                     tables.bfs_order(),
                     &mut store,
                 )
-            });
+            },
+        );
         // An infeasible base has no usable snapshots: drop its cache
         // entry (and every alias to its slot) so nothing windows
         // against garbage.
@@ -607,8 +613,13 @@ impl<'g> PopulationEval<'g> {
         let tables = &self.tables;
         let trails = &self.trails;
         let zero_trail = &self.zero_trail;
-        let sims: Vec<f64> =
-            par_map_with_threads(self.threads, &mut self.workers, &items, |w, _, item| {
+        let mut sims: Vec<f64> = Vec::with_capacity(items.len());
+        par_map_with_threads(
+            self.threads,
+            &mut self.workers,
+            &items,
+            &mut sims,
+            |w, _, item| {
                 let &(i, from_pos, trail) = item;
                 let store;
                 let (ckpt, from_pos) = match trail {
@@ -629,7 +640,8 @@ impl<'g> PopulationEval<'g> {
                         unreachable!("no cutoff under an infinite bound")
                     }
                 }
-            });
+            },
+        );
         // Serial wrap-up: stats and memo inserts in candidate order.
         for (&(i, from_pos, trail), &ms) in items.iter().zip(&sims) {
             if trail.is_some() {

@@ -229,7 +229,12 @@ pub struct RemapOutcome {
 /// it is committed back to the session.
 struct Compiled {
     graph: Arc<TaskGraph>,
+    /// Any task or edge changed: the evaluation tables are rebuilt.
     graph_changed: bool,
+    /// Tasks or edges were added or removed: the subgraph set is rebuilt
+    /// too.  Attribute changes leave it alone, because decomposition
+    /// reads only edges.
+    structure_changed: bool,
     available: Vec<bool>,
     incumbent: Mapping,
     affected: Vec<bool>,
@@ -419,7 +424,7 @@ impl RemapSession {
         let artifact = self.artifact_for(&c);
         // Clone rather than take: an error mid-search must leave the
         // session state untouched and reusable.
-        let subgraphs = if c.graph_changed {
+        let subgraphs = if c.structure_changed {
             build_subgraphs(&c.graph, self.cfg.strategy)
         } else {
             self.subgraphs.clone()
@@ -590,6 +595,7 @@ impl RemapSession {
         let mut c = Compiled {
             graph: Arc::clone(&self.graph),
             graph_changed: false,
+            structure_changed: false,
             available: self.available.clone(),
             incumbent: self.incumbent.clone(),
             affected: vec![false; self.graph.node_count()],
@@ -672,6 +678,7 @@ impl RemapSession {
                     }
                     c.graph = Arc::new(b.build()?);
                     c.graph_changed = true;
+                    c.structure_changed = true;
                     let mut devices: Vec<DeviceId> = c.incumbent.as_slice().to_vec();
                     devices.resize(base + k, default);
                     c.incumbent = Mapping::from_vec(devices);
@@ -721,6 +728,7 @@ impl RemapSession {
                     }
                     c.graph = Arc::new(b.build()?);
                     c.graph_changed = true;
+                    c.structure_changed = true;
                     c.incumbent = Mapping::from_vec(devices);
                     c.affected = affected;
                 }
@@ -911,6 +919,58 @@ mod tests {
             .expect("attrs");
         assert!(out.graph_rebuilt);
         assert!(out.makespan.is_finite());
+    }
+
+    /// An attribute-only batch: three tasks of `s`'s graph change
+    /// complexity, data volume and area.
+    fn attrs_batch(s: &RemapSession) -> Vec<Perturbation> {
+        let nodes = [3u32, 11, 20]
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let v = NodeId(v);
+                let mut t = s.graph().task(v).clone();
+                t.complexity *= if i == 1 { 0.25 } else { 3.0 };
+                t.data_points *= 2.0;
+                t.area *= 0.5;
+                (v, t)
+            })
+            .collect();
+        vec![Perturbation::AttributesChanged { nodes }]
+    }
+
+    #[test]
+    fn attribute_remaps_keep_the_subgraph_set_and_its_bits() {
+        // Decomposition reads only edges, so an attribute change keeps
+        // the session's subgraph set (the tables are still rebuilt), and
+        // the remap decides exactly what re-decomposing would.
+        let req = session_request(40, 5);
+        let mut s = RemapSession::open(&req, None).expect("open");
+        let before = s.subgraphs.clone();
+        let out = s.remap(&attrs_batch(&s)).expect("attrs");
+        assert!(out.graph_rebuilt, "the tables see the new attributes");
+        assert_eq!(s.subgraphs, before);
+        assert_eq!(s.subgraphs, build_subgraphs(s.graph(), s.cfg.strategy));
+        // Pinned from the build that re-decomposed on every attribute
+        // change (FNV-1a over the device ids; thread-invariant values).
+        let digest = out
+            .mapping
+            .as_slice()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, d| {
+                (h ^ u64::from(d.0)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        let history: Vec<u64> = out.history.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(out.makespan.to_bits(), 0x400f_2825_e62f_d129);
+        assert_eq!(digest, 0x077b_0d83_030b_d142);
+        assert_eq!(
+            history,
+            [
+                0x400f_68bb_d9fd_b1f3,
+                0x400f_4515_15aa_94d1,
+                0x400f_2825_e62f_d129
+            ]
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! After the first full sweep, every operation carries an *expected*
 //! improvement — the improvement it showed when last evaluated.  Each
-//! iteration pops operations from a max-priority queue ordered by
-//! expectation; once an actual improvement `Δ` has been found, only
+//! iteration visits operations in descending order of expectation (the
+//! pop order of a max-priority queue, kept as a persistent
+//! [`PassOrder`]); once an actual improvement `Δ` has been found, only
 //! operations whose expectation exceeds `Δ/γ` are still evaluated
 //! ("look-ahead").  Re-evaluated operations update their expectation.
 //! The iteration commits the best improvement found; if a complete pass
@@ -46,7 +47,6 @@
 //! the serial algorithm (zero speculation, zero spawns).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use crate::batch::CandidateBatch;
 use crate::mapper::{MapperError, OpId};
@@ -56,14 +56,15 @@ use crate::mapper::{MapperError, OpId};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct NanKey;
 
-/// Max-heap key wrapping an `f64` expectation with total order.
+/// An `f64` expectation with total order: the sort key of the pass
+/// order.
 ///
 /// `±∞` are legitimate expectations (`+∞` = "never evaluated", `-∞` =
 /// "no-op / infeasible") and order exactly like `f64::total_cmp` places
 /// them.  NaN is rejected at construction: under `total_cmp` a positive
 /// NaN sorts *above* `+∞`, so a single NaN expectation would silently
-/// hijack every pop of the priority queue — the caller converts the
-/// rejection into [`MapperError::NanDelta`] instead.
+/// hijack the front of every pass — the caller converts the rejection
+/// into [`MapperError::NanDelta`] instead.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Key(f64);
 
@@ -80,6 +81,19 @@ impl Key {
     /// The wrapped expectation (never NaN).
     pub(crate) fn get(self) -> f64 {
         self.0
+    }
+
+    /// The key's place in the `total_cmp` order as an unsigned integer:
+    /// `a.cmp(&b) == a.rank().cmp(&b.rank())`.
+    pub(crate) fn rank(self) -> u64 {
+        let bits = self.0.to_bits();
+        if bits >> 63 == 1 {
+            // Negative: a larger magnitude ranks lower.
+            !bits
+        } else {
+            // Non-negative: above every negative value.
+            bits | (1 << 63)
+        }
     }
 }
 
@@ -171,6 +185,84 @@ impl WaveController {
     }
 }
 
+/// The visiting order of a γ-search pass: every position of the op list,
+/// sorted by `(expected key, position)` descending — exactly the pop
+/// order of a `BinaryHeap<(Key, usize)>` built from the same
+/// expectations, so ties visit the higher position (op id) first.
+///
+/// The order persists across passes.  A pass walks a prefix of it and
+/// re-keys only positions in that prefix; the untouched suffix is still
+/// sorted, so [`Self::rekey_prefix`] sorts the prefix under its new keys
+/// and merges it back into the suffix instead of rebuilding a heap of
+/// all K keys.  Each entry packs `(key rank, position)` into one `u128`
+/// (see [`entry`]), so sorting and merging compare plain integers.  Both
+/// buffers are allocated once per search.
+pub(crate) struct PassOrder {
+    order: Vec<u128>,
+    /// Scratch for the walked prefix while it is re-sorted.
+    walked: Vec<u128>,
+}
+
+/// The order entry of position `i` under `key`: its `(key, position)`
+/// pair as one integer that compares like the pair.
+fn entry(key: Key, i: usize) -> u128 {
+    (u128::from(key.rank()) << 64) | i as u128
+}
+
+impl PassOrder {
+    /// The order of `k` positions that all hold the same key (the
+    /// initial `+∞`): descending position.
+    pub(crate) fn new(k: usize) -> Self {
+        let inf = Key(f64::INFINITY);
+        Self {
+            order: (0..k).rev().map(|i| entry(inf, i)).collect(),
+            walked: Vec::with_capacity(k),
+        }
+    }
+
+    /// The positions at visiting ranks `range`, in visiting order.
+    pub(crate) fn positions(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = usize> + '_ {
+        // The low 64 bits of an entry are its position.
+        self.order[range].iter().map(|&e| e as u64 as usize)
+    }
+
+    /// Restore the order after a pass that walked its first `walked`
+    /// positions, some of which now hold new keys in `expected`.
+    ///
+    /// The walked entries are re-keyed and sorted aside, then placed
+    /// back one by one: each finds its slot in the still-sorted suffix
+    /// by binary search, and the suffix run in front of it moves up with
+    /// one block copy — `O(w log K)` comparisons plus at most K moved
+    /// entries.
+    pub(crate) fn rekey_prefix(&mut self, walked: usize, expected: &[Key]) {
+        self.walked.clear();
+        self.walked.extend(self.order[..walked].iter().map(|&e| {
+            let i = e as u64 as usize;
+            entry(expected[i], i)
+        }));
+        self.walked.sort_unstable_by(|a, b| b.cmp(a));
+        // `write` trails `read` (the next unplaced suffix entry) by the
+        // walked entries still to place, so a block copy never
+        // overwrites an unread entry.  Entries are unique (positions
+        // differ), so every slot is fully determined.
+        let (mut write, mut read) = (0, walked);
+        for &e in &self.walked {
+            let ahead = self.order[read..].partition_point(|&x| x > e);
+            self.order.copy_within(read..read + ahead, write);
+            write += ahead;
+            read += ahead;
+            self.order[write] = e;
+            write += 1;
+        }
+        // Every walked entry is placed: `write == read`, and the rest of
+        // the suffix already sits in its final slots.
+        debug_assert_eq!(write, read);
+    }
+}
+
 /// Run the γ-threshold search over the operations `ops` (ascending op
 /// ids) through the candidate engine; returns `(iterations, history)`.
 /// A full run passes every op; a warm remap passes its neighborhood.
@@ -192,46 +284,35 @@ pub(crate) fn gamma_threshold_search(
     gamma: f64,
 ) -> Result<(usize, Vec<f64>), MapperError> {
     let mut wave = WaveController::new(engine.threads());
-    let mut expected = vec![f64::INFINITY; ops.len()];
+    let mut expected = vec![Key(f64::INFINITY); ops.len()];
+    let mut order = PassOrder::new(ops.len());
+    // Per-wave buffers, reused by every wave of every pass.
+    let mut wave_pos: Vec<usize> = Vec::with_capacity(wave.size());
+    let mut wave_ops: Vec<OpId> = Vec::with_capacity(wave.size());
+    let mut deltas: Vec<f64> = Vec::with_capacity(wave.size());
     let mut history = Vec::new();
     let mut iterations = 0;
 
     while iterations < cap {
-        // Rebuild the priority queue from current expectations: one
-        // entry per position, so no entry is ever stale or popped twice,
-        // and an entry's key is its `expected` value until it is
-        // evaluated.  `BinaryHeap::from` heapifies in O(K); the
-        // `(key, position)` pairs are unique, so the pop order is the
-        // same as for K pushes.  Ties pop the higher position first —
-        // with `ops` ascending, the higher op id, as in the reference.
-        let entries = expected
-            .iter()
-            .enumerate()
-            .map(|(i, &exp)| {
-                Key::new(exp)
-                    .map(|key| (key, i))
-                    .map_err(|_| MapperError::NanDelta { op: ops[i] })
-            })
-            .collect::<Result<Vec<(Key, usize)>, MapperError>>()?;
-        let mut heap = BinaryHeap::from(entries);
+        // A pass visits positions in `order`, the pop order of a max-heap
+        // of the pass-start expectations: keys re-assigned during the
+        // pass take effect from the next pass on.
         let mut found: Option<(OpId, f64)> = None;
-        let mut wave_pos: Vec<usize> = Vec::with_capacity(wave.size());
-        let mut wave_ops: Vec<OpId> = Vec::with_capacity(wave.size());
+        let mut walked = 0usize;
 
-        'pass: loop {
-            // Speculatively take the next `wave.size()` pops — exactly
-            // the prefix the serial loop would consider next.
+        'pass: while walked < ops.len() {
+            // Speculatively take the next `wave.size()` positions —
+            // exactly the prefix the serial loop would consider next.
+            let end = (walked + wave.size()).min(ops.len());
             wave_pos.clear();
-            wave_pos.extend(std::iter::from_fn(|| heap.pop().map(|(_, i)| i)).take(wave.size()));
-            if wave_pos.is_empty() {
-                break 'pass;
-            }
+            wave_pos.extend(order.positions(walked..end));
+            walked = end;
             wave_ops.clear();
             wave_ops.extend(wave_pos.iter().map(|&i| ops[i]));
             // One parallel batch (memoized, unpruned: the γ-search needs
             // every delta it asks for, because deltas become the next
             // iteration's expectations).
-            let deltas = engine.evaluate_ops(&wave_ops, false);
+            engine.evaluate_ops(&wave_ops, false, &mut deltas);
             // Serial replay of the decision sequence.
             let mut consumed = 0usize;
             let mut cut_short = false;
@@ -241,16 +322,15 @@ pub(crate) fn gamma_threshold_search(
                     // improvement exceeds Δ/γ are still worth
                     // evaluating; everything speculated beyond this
                     // point is discarded unseen.
-                    if expected[i] <= best / gamma {
+                    if expected[i].get() <= best / gamma {
                         cut_short = true;
                         break;
                     }
                 }
-                if delta.is_nan() {
-                    return Err(MapperError::NanDelta { op });
-                }
+                // The one place a key is assigned, so the order can
+                // never hold a NaN.
+                expected[i] = Key::new(delta).map_err(|_| MapperError::NanDelta { op })?;
                 consumed += 1;
-                expected[i] = delta;
                 if engine.improves(delta) && found.is_none_or(|(_, best)| delta > best) {
                     found = Some((op, delta));
                 }
@@ -266,6 +346,7 @@ pub(crate) fn gamma_threshold_search(
                 engine.commit(op);
                 history.push(engine.current_makespan());
                 iterations += 1;
+                order.rekey_prefix(walked, &expected);
             }
             None => break,
         }
@@ -275,10 +356,157 @@ pub(crate) fn gamma_threshold_search(
 
 #[cfg(test)]
 mod tests {
-    use super::{Key, NanKey, WaveController};
+    use super::{gamma_threshold_search, Key, NanKey, PassOrder, WaveController};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
     fn key(x: f64) -> Key {
         Key::new(x).expect("finite or infinite key")
+    }
+
+    thread_local! {
+        /// Allocations made on this thread.  Const-initialised and
+        /// without a destructor, so the allocator can touch it without
+        /// allocating or re-entering itself.
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The test binary's allocator: `System`, counting every allocation
+    /// per thread, so tests running in parallel cannot disturb each
+    /// other's counts.
+    struct CountingAlloc;
+
+    fn count_alloc() {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
+
+    fn allocs_on_this_thread() -> u64 {
+        ALLOCS.with(Cell::get)
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the bookkeeping only
+    // bumps a thread-local `Cell` and never allocates.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count_alloc();
+            // SAFETY: forwarded verbatim under the caller's contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract.
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count_alloc();
+            // SAFETY: forwarded verbatim under the caller's contract.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        // SAFETY: `ptr` was allocated by this allocator (i.e. `System`)
+        // with `layout`, as `dealloc`'s contract requires.
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: forwarded verbatim under the caller's contract.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        // SAFETY: `ptr`/`layout` describe a live `System` block and
+        // `new_size` is valid, as `realloc`'s contract requires.
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count_alloc();
+            // SAFETY: forwarded verbatim under the caller's contract.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: CountingAlloc = CountingAlloc;
+
+    /// One SplitMix64 step: the seeded source of the property test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn pass_order_visits_positions_in_heap_pop_order() {
+        // Over random expectation vectors and several re-keyed passes,
+        // the persistent order must list positions exactly as a
+        // `BinaryHeap<(Key, usize)>` of the same keys pops them —
+        // including ties (higher position first), ±∞ and ±0.0.
+        use std::collections::BinaryHeap;
+        const SPECIAL: [f64; 6] = [f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1.5, 1e-300];
+        for seed in 0..300u64 {
+            let mut rng = seed;
+            let k = 1 + (splitmix(&mut rng) % 48) as usize;
+            let mut expected = vec![key(f64::INFINITY); k];
+            let mut order = PassOrder::new(k);
+            for pass in 0..8 {
+                let mut heap: BinaryHeap<(Key, usize)> =
+                    expected.iter().enumerate().map(|(i, &e)| (e, i)).collect();
+                let pops: Vec<usize> = std::iter::from_fn(|| heap.pop().map(|(_, i)| i)).collect();
+                let visits: Vec<usize> = order.positions(0..k).collect();
+                assert_eq!(visits, pops, "seed {seed} pass {pass}");
+                // A pass walks a prefix and re-keys most (not all) of it:
+                // speculated-but-discarded positions keep their key.
+                let walked = (splitmix(&mut rng) % (k as u64 + 1)) as usize;
+                for i in order.positions(0..walked) {
+                    let r = splitmix(&mut rng);
+                    if r.is_multiple_of(5) {
+                        continue;
+                    }
+                    let x = if r.is_multiple_of(3) {
+                        SPECIAL[(r >> 8) as usize % SPECIAL.len()]
+                    } else {
+                        // Few distinct finite values, so ties are common.
+                        ((r >> 8) % 7) as f64 - 3.0
+                    };
+                    expected[i] = key(x);
+                }
+                order.rekey_prefix(walked, &expected);
+            }
+        }
+    }
+
+    #[test]
+    fn serial_search_allocates_per_pass_not_per_candidate() {
+        // With one worker, the γ-search reuses its pass order, wave and
+        // delta buffers and the engine reuses its result buffer, so its
+        // allocations grow with passes (commits, memo growth), not with
+        // the hundreds of candidates each pass evaluates.
+        use crate::batch::{CandidateBatch, EngineConfig};
+        use spmap_decomp::{series_parallel_subgraphs, CutPolicy};
+        use spmap_graph::gen::{random_sp_graph, SpGenConfig};
+        use spmap_graph::{augment, AugmentConfig};
+        use spmap_model::Platform;
+
+        let mut g = random_sp_graph(&SpGenConfig::new(60, 7));
+        augment(&mut g, &AugmentConfig::default(), 7);
+        let p = Platform::reference();
+        let subgraphs = series_parallel_subgraphs(&g, CutPolicy::default()).into_vec();
+        let cfg = EngineConfig {
+            threads: Some(1),
+            ..EngineConfig::default()
+        };
+        let mut eng = CandidateBatch::new(&g, &p, subgraphs, p.device_ids().collect(), cfg);
+        let ops: Vec<usize> = (0..eng.op_count()).collect();
+        let before = allocs_on_this_thread();
+        let (iterations, _) =
+            gamma_threshold_search(&mut eng, &ops, usize::MAX, 1.0).expect("finite deltas");
+        let allocs = allocs_on_this_thread() - before;
+        let evaluated = eng.stats().total();
+        let passes = iterations as u64 + 1;
+        assert!(
+            evaluated >= 20 * passes,
+            "the fixture must evaluate many candidates per pass \
+             ({evaluated} over {passes} passes)"
+        );
+        assert!(
+            allocs <= 3 * passes + 32,
+            "{allocs} allocations for {passes} passes and {evaluated} evaluated candidates"
+        );
     }
 
     #[test]

@@ -47,6 +47,11 @@ impl SubgraphSet {
     pub fn iter(&self) -> impl Iterator<Item = &Vec<NodeId>> {
         self.subgraphs.iter()
     }
+
+    /// The subgraphs, moved out of the set (no copy).
+    pub fn into_vec(self) -> Vec<Vec<NodeId>> {
+        self.subgraphs
+    }
 }
 
 /// The single-node subgraph set (§III-B): one subgraph per task.

@@ -265,6 +265,18 @@ impl TaskGraph {
             .sum()
     }
 
+    /// A copy carrying only the edge structure: the same node and edge
+    /// ids, edges and adjacency order, with every task
+    /// [`Task::default`] — no name or attribute is cloned.
+    pub(crate) fn structure_copy(&self) -> TaskGraph {
+        TaskGraph {
+            tasks: vec![Task::default(); self.tasks.len()],
+            edges: self.edges.clone(),
+            out_adj: self.out_adj.clone(),
+            in_adj: self.in_adj.clone(),
+        }
+    }
+
     /// Append a task with no edges, returning its id.
     pub(crate) fn push_task(&mut self, task: Task) -> NodeId {
         let id = NodeId(self.tasks.len() as u32);

@@ -153,7 +153,9 @@ pub fn critical_path(
 /// the (possibly virtual) unique source and sink.
 pub struct NormalizedGraph<'a> {
     /// Graph guaranteed to have exactly one source and one sink: the
-    /// input itself when it already has them, else an augmented copy.
+    /// input itself when it already has them, else an augmented copy of
+    /// its edge structure (original tasks replaced by
+    /// [`Task::default`]).
     pub graph: Cow<'a, TaskGraph>,
     /// The unique source.
     pub source: NodeId,
@@ -172,7 +174,10 @@ pub struct NormalizedGraph<'a> {
 /// insert new start and end nodes").  Virtual tasks have zero complexity
 /// and zero-byte edges so they never affect the makespan; original node ids
 /// are preserved.  A graph that needs no virtual terminal is borrowed,
-/// not copied.
+/// not copied.  The augmented copy is for structural analysis
+/// (decomposition and SP recognition read only edges): it keeps every
+/// edge and adjacency order but carries default tasks instead of
+/// cloning each original task with its name.
 pub fn normalize_terminals(g: &TaskGraph) -> NormalizedGraph<'_> {
     let srcs = sources(g);
     let snks = sinks(g);
@@ -195,7 +200,7 @@ pub fn normalize_terminals(g: &TaskGraph) -> NormalizedGraph<'_> {
     // in-edges, so neither can close a cycle: append them to a copy
     // directly instead of rebuilding (and re-checking) the whole graph.
     // Ids and adjacency order are those a builder would produce.
-    let mut graph = g.clone();
+    let mut graph = g.structure_copy();
     let mut add_terminal = |name: &str, ends: &[NodeId], outgoing: bool| {
         let v = graph.push_task(Task {
             name: name.into(),
@@ -388,6 +393,31 @@ mod tests {
             assert_eq!(n.graph.out_edges(v), r.out_edges(v));
             assert_eq!(n.graph.in_edges(v), r.in_edges(v));
         }
+    }
+
+    #[test]
+    fn normalize_copies_structure_not_tasks() {
+        // The augmented copy keeps edges but not task attributes: the
+        // originals become default tasks, the terminals stay virtual.
+        let mut b = GraphBuilder::new();
+        for i in 0..4 {
+            b.add_task(Task {
+                complexity: 7.0 + i as f64,
+                ..Task::named(format!("t{i}"))
+            });
+        }
+        b.add_edge(NodeId(0), NodeId(1), 3.0).unwrap();
+        b.add_edge(NodeId(2), NodeId(3), 4.0).unwrap();
+        let g = b.build().unwrap();
+        let n = normalize_terminals(&g);
+        for v in g.nodes() {
+            assert_eq!(n.graph.task(v), &Task::default());
+        }
+        for e in g.edge_ids() {
+            assert_eq!(n.graph.edge(e), g.edge(e));
+        }
+        assert_eq!(n.graph.task(n.source).name, "__virtual_source");
+        assert_eq!(n.graph.task(n.sink).complexity, 0.0);
     }
 
     #[test]

@@ -439,6 +439,17 @@ impl<'g> EvalTables<'g> {
         }
     }
 
+    /// Overwrite `out` with `mapping` in the tables' internal numbering
+    /// (`out[v_int]` = device of task `ext_of[v_int]`) — the device view
+    /// [`Self::makespan_order_window_internal`] replays against.  A
+    /// caller that keeps this copy patched (e.g. through an undo log)
+    /// pays the gather once per base mapping, not once per window.
+    pub fn gather_internal(&self, mapping: &Mapping, out: &mut Vec<DeviceId>) {
+        let ext = mapping.as_slice();
+        out.clear();
+        out.extend(self.ext_of.iter().map(|&ve| ext[ve as usize]));
+    }
+
     /// Minimum execution time of task `n` over all devices.
     #[inline]
     pub fn min_exec_time(&self, n: NodeId) -> f64 {
@@ -687,11 +698,15 @@ impl<'g> EvalTables<'g> {
     /// so heap-driven, checkpointed and windowed runs agree bit for bit
     /// — for any fixed schedule, not just the breadth-first one.
     ///
+    /// `STORE` writes the task's start/finish times into the scratch.
+    /// Only complete runs store them ([`EvalScratch::start_times`]);
+    /// windowed replays read neither, so they skip both stores.
+    ///
     /// `inline(always)`: every window/replay variant spends its whole
     /// life in this step; an out-of-line call costs measurable
     /// ns/position.
     #[inline(always)]
-    fn sim_step(
+    fn sim_step<const STORE: bool>(
         &self,
         scratch: &mut EvalScratch,
         devices: &[DeviceId],
@@ -728,8 +743,10 @@ impl<'g> EvalTables<'g> {
             let free = &mut scratch.device_free[d.index()];
             *free = free.max(fin);
         }
-        scratch.start[v] = start;
-        scratch.finish[v] = fin;
+        if STORE {
+            scratch.start[v] = start;
+            scratch.finish[v] = fin;
+        }
         *makespan = makespan.max(fin);
         let fill = self.fill[d.index()];
         let mut stream_granted = false;
@@ -818,7 +835,7 @@ impl<'g> EvalTables<'g> {
                 out.record(i / out.every, scratch, makespan);
             }
             let v = self.pop_internal(seq, pop_order, i);
-            self.sim_step(scratch, devices, v, &mut makespan);
+            self.sim_step::<true>(scratch, devices, v, &mut makespan);
         }
         scratch.devices = dev_buf;
         Some(makespan)
@@ -852,6 +869,10 @@ impl<'g> EvalTables<'g> {
     /// and the snapshotted base mapping must agree with `mapping` on
     /// every task read before `from_pos` (see
     /// [`OrderTables::earliest_read_pos`]).
+    ///
+    /// Gathers `mapping` into internal numbering and calls
+    /// [`Self::makespan_order_window_internal`]; hot loops that keep an
+    /// internal-numbered copy call that directly.
     pub fn makespan_order_window(
         &self,
         scratch: &mut EvalScratch,
@@ -861,9 +882,41 @@ impl<'g> EvalTables<'g> {
         from_pos: usize,
         cutoff: f64,
     ) -> WindowSim {
-        let n = self.node_count();
-        debug_assert_eq!(mapping.len(), n);
+        debug_assert_eq!(mapping.len(), self.node_count());
         debug_assert!(self.area_feasible(mapping), "caller prechecks area");
+        let mut dev_buf = std::mem::take(&mut scratch.devices);
+        // A sequential replay only reads internal indices >= the
+        // restored position; any other order may read anywhere.
+        let gather_from = if self.seq_order(order) {
+            ckpt.snapshot_index(from_pos) * ckpt.every
+        } else {
+            0
+        };
+        let devices = self.internal_devices(&mut dev_buf, mapping, gather_from);
+        let result =
+            self.makespan_order_window_internal(scratch, devices, order, ckpt, from_pos, cutoff);
+        scratch.devices = dev_buf;
+        result
+    }
+
+    /// [`Self::makespan_order_window`] on a candidate given as its
+    /// devices in the tables' internal numbering (`devices[v_int]`, see
+    /// [`Self::gather_internal`]); entries below the restored snapshot
+    /// position are never read on a sequential replay.
+    ///
+    /// The replay does only what a window reads: no start/finish stores,
+    /// and with `cutoff = +∞` no per-step cutoff test.  Both variants
+    /// run the same arithmetic sequence, so results are bit-identical.
+    pub fn makespan_order_window_internal(
+        &self,
+        scratch: &mut EvalScratch,
+        devices: &[DeviceId],
+        order: &OrderTables,
+        ckpt: &ScheduleCheckpoints,
+        from_pos: usize,
+        cutoff: f64,
+    ) -> WindowSim {
+        debug_assert_eq!(devices.len(), self.node_count());
         let seq = self.seq_order(order);
         assert!(
             !ckpt.suffix || seq,
@@ -871,30 +924,42 @@ impl<'g> EvalTables<'g> {
         );
         scratch.stats.evaluations += 1;
         let start_pos = ckpt.restore(from_pos, scratch);
-        let mut makespan = ckpt.makespan[start_pos / ckpt.every];
+        let makespan = ckpt.makespan[start_pos / ckpt.every];
+        let (stepped, result) = if cutoff == f64::INFINITY {
+            self.replay::<false>(scratch, devices, order, start_pos, cutoff, makespan)
+        } else {
+            self.replay::<true>(scratch, devices, order, start_pos, cutoff, makespan)
+        };
+        // Charge only what actually ran: aborted replays must not
+        // inflate the stepped-position counter.
+        scratch.stats.positions += stepped as u64;
+        result
+    }
+
+    /// Replay pop positions `start_pos..n` of `order` from the restored
+    /// state; returns the positions stepped and the outcome.  `CUT`
+    /// enables the per-step `finish + up_min > cutoff` abort test.
+    #[inline(always)]
+    fn replay<const CUT: bool>(
+        &self,
+        scratch: &mut EvalScratch,
+        devices: &[DeviceId],
+        order: &OrderTables,
+        start_pos: usize,
+        cutoff: f64,
+        mut makespan: f64,
+    ) -> (usize, WindowSim) {
+        let n = self.node_count();
+        let seq = self.seq_order(order);
         let pop_order = order.pop_order();
-        let mut dev_buf = std::mem::take(&mut scratch.devices);
-        // A sequential replay only reads internal indices >= start_pos;
-        // any other order may read anywhere.
-        let gather_from = if seq { start_pos } else { 0 };
-        let devices = self.internal_devices(&mut dev_buf, mapping, gather_from);
-        let mut result = None;
         for i in start_pos..n {
             let v = self.pop_internal(seq, pop_order, i);
-            let fin = self.sim_step(scratch, devices, v, &mut makespan);
-            if fin + self.up_min_int[v] > cutoff {
-                // Charge only what actually ran: aborted replays must
-                // not inflate the stepped-position counter.
-                scratch.stats.positions += (i + 1 - start_pos) as u64;
-                result = Some(WindowSim::Cutoff);
-                break;
+            let fin = self.sim_step::<false>(scratch, devices, v, &mut makespan);
+            if CUT && fin + self.up_min_int[v] > cutoff {
+                return (i + 1 - start_pos, WindowSim::Cutoff);
             }
         }
-        scratch.devices = dev_buf;
-        result.unwrap_or_else(|| {
-            scratch.stats.positions += (n - start_pos) as u64;
-            WindowSim::Done(makespan)
-        })
+        (n - start_pos, WindowSim::Done(makespan))
     }
 
     /// Breadth-first [`Self::makespan_order_window`].
@@ -992,8 +1057,9 @@ impl EvalScratch {
         self.link_free.iter_mut().for_each(|t| *t = 0.0);
     }
 
-    /// Start time per task of the most recent complete evaluation,
-    /// indexed by the tables' *internal* numbering (translate with
+    /// Start time per task of the most recent complete evaluation
+    /// (heap-driven or checkpointed; windowed replays leave these times
+    /// untouched), indexed by the tables' *internal* numbering (translate with
     /// [`EvalTables::internal_index`]; [`Evaluator::simulate`] returns
     /// externally-indexed copies).
     #[inline]
@@ -1994,7 +2060,7 @@ mod tests {
         let mut dev_buf = std::mem::take(&mut scratch.devices);
         let devices = tables.internal_devices(&mut dev_buf, &m, 0);
         let mut makespan = 0.0;
-        tables.sim_step(&mut scratch, devices, 0, &mut makespan);
+        tables.sim_step::<false>(&mut scratch, devices, 0, &mut makespan);
     }
 
     #[test]

@@ -337,14 +337,19 @@ impl<S> WorkerStates<S> {
     }
 }
 
-/// Run the whole batch on the calling thread with state slot 0 — the
-/// serial fast path, and the specification the pool is tested against.
-pub(crate) fn serial_map<S, T, R, F>(states: &mut WorkerStates<S>, items: &[T], f: F) -> Vec<R>
+/// Run the whole batch on the calling thread with state slot 0, yielding
+/// results in input order — the serial fast path, and the specification
+/// the pool is tested against.
+pub(crate) fn serial_map<'a, S, T, R, F>(
+    states: &'a mut WorkerStates<S>,
+    items: &'a [T],
+    f: F,
+) -> impl Iterator<Item = R> + 'a
 where
-    F: Fn(&mut S, usize, &T) -> R,
+    F: Fn(&mut S, usize, &T) -> R + 'a,
 {
     let s = states.first_mut();
-    items.iter().enumerate().map(|(i, t)| f(s, i, t)).collect()
+    items.iter().enumerate().map(move |(i, t)| f(s, i, t))
 }
 
 /// Restore input order from per-participant `(index, result)` parts —
@@ -363,10 +368,11 @@ pub(crate) fn merge_parts<R>(len: usize, parts: Vec<Vec<(usize, R)>>) -> Vec<R> 
 }
 
 /// Apply `f(state, index, item)` to every item with `threads` workers,
-/// preserving input order in the result.  Worker count is further capped
-/// by the item count and the number of state slots.  `threads <= 1` runs
-/// entirely on the calling thread with `states` slot 0 and spawns
-/// nothing.
+/// replacing the contents of `out` with the results in input order.
+/// Worker count is further capped by the item count and the number of
+/// state slots.  `threads <= 1` runs entirely on the calling thread with
+/// `states` slot 0, spawns nothing and pushes straight into `out`, so a
+/// caller that reuses `out` pays no allocation per batch.
 ///
 /// Parallel batches run on the [`with_pool`] override if one is active,
 /// otherwise on the process-wide [`global_pool`].  Results are
@@ -375,23 +381,25 @@ pub fn par_map_with_threads<S, T, R, F>(
     threads: usize,
     states: &mut WorkerStates<S>,
     items: &[T],
+    out: &mut Vec<R>,
     f: F,
-) -> Vec<R>
-where
+) where
     S: Send,
     T: Sync,
     R: Send,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
+    out.clear();
     let threads = threads.min(items.len().max(1)).min(states.len());
     if threads <= 1 || items.len() <= 1 {
         bump_dispatch(|d| d.serial_batches += 1);
-        return serial_map(states, items, f);
+        out.extend(serial_map(states, items, f));
+        return;
     }
-    match pool_override() {
+    out.extend(match pool_override() {
         Some(p) => p.par_map_with_threads(threads, states, items, f),
         None => pool::global().par_map_with_threads(threads, states, items, f),
-    }
+    });
 }
 
 /// [`par_map_with_threads`] with the environment-configured thread count.
@@ -402,7 +410,9 @@ where
     R: Send,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    par_map_with_threads(num_threads(), states, items, f)
+    let mut out = Vec::with_capacity(items.len());
+    par_map_with_threads(num_threads(), states, items, &mut out, f);
+    out
 }
 
 /// Apply `f` to every item, in parallel, preserving input order in the
@@ -416,12 +426,27 @@ where
 {
     let threads = num_threads();
     let mut states = WorkerStates::new(threads, |_| ());
-    par_map_with_threads(threads, &mut states, items, |_, i, t| f(i, t))
+    let mut out = Vec::with_capacity(items.len());
+    par_map_with_threads(threads, &mut states, items, &mut out, |_, i, t| f(i, t));
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`par_map_with_threads`] into a fresh buffer.
+    fn mapped<S, T, R, F>(threads: usize, states: &mut WorkerStates<S>, items: &[T], f: F) -> Vec<R>
+    where
+        S: Send,
+        T: Sync,
+        R: Send,
+        F: Fn(&mut S, usize, &T) -> R + Sync,
+    {
+        let mut out = Vec::new();
+        par_map_with_threads(threads, states, items, &mut out, f);
+        out
+    }
 
     #[test]
     fn maps_in_order() {
@@ -505,7 +530,7 @@ mod tests {
         // across two calls the *same* arena keeps accumulating.
         let mut states = WorkerStates::new(4, |_| 0usize);
         let items: Vec<u32> = (0..100).collect();
-        let out = par_map_with_threads(4, &mut states, &items, |s, i, &x| {
+        let out = mapped(4, &mut states, &items, |s, i, &x| {
             *s += 1;
             (i as u32, x + 1)
         });
@@ -515,7 +540,7 @@ mod tests {
         }
         let first_total: usize = states.iter().sum();
         assert_eq!(first_total, 100, "every item processed exactly once");
-        par_map_with_threads(4, &mut states, &items, |s, _, _| *s += 1);
+        mapped(4, &mut states, &items, |s, _, _| *s += 1);
         let second_total: usize = states.iter().sum();
         assert_eq!(second_total, 200, "state survives across calls");
     }
@@ -527,7 +552,7 @@ mod tests {
         let me = std::thread::current().id();
         let mut states = WorkerStates::new(3, |_| Vec::new());
         let items: Vec<u32> = (0..50).collect();
-        par_map_with_threads(1, &mut states, &items, |s, _, _| {
+        mapped(1, &mut states, &items, |s, _, _| {
             s.push(std::thread::current().id());
         });
         let (slot0, others) = {
@@ -543,13 +568,33 @@ mod tests {
     }
 
     #[test]
+    fn serial_path_fills_the_callers_buffer_in_place() {
+        // The serial fast path replaces `out`'s contents without
+        // reallocating a buffer that is already large enough.
+        let mut states = WorkerStates::new(1, |_| ());
+        let items: Vec<u32> = (0..32).collect();
+        let mut out = Vec::with_capacity(64);
+        out.push(99);
+        let ptr = out.as_ptr();
+        par_map_with_threads(1, &mut states, &items, &mut out, |_, _, &x| x * 2);
+        let want: Vec<u32> = items.iter().map(|&x| x * 2).collect();
+        assert_eq!(out, want, "old contents are replaced");
+        assert_eq!(out.as_ptr(), ptr, "no reallocation");
+        // The pool path replaces the contents too.
+        let mut states = WorkerStates::new(3, |_| ());
+        par_map_with_threads(3, &mut states, &items, &mut out, |_, _, &x| x + 1);
+        let want: Vec<u32> = items.iter().map(|&x| x + 1).collect();
+        assert_eq!(out, want);
+    }
+
+    #[test]
     fn parallel_uses_multiple_threads_when_asked() {
         // With enough slow items, at least one item must land on a thread
         // other than the caller (the caller is itself one of the workers).
         let me = std::thread::current().id();
         let mut states = WorkerStates::new(4, |_| ());
         let items: Vec<u32> = (0..64).collect();
-        let ids = par_map_with_threads(4, &mut states, &items, |_, _, _| {
+        let ids = mapped(4, &mut states, &items, |_, _, _| {
             // The accumulator goes through `black_box` at every step:
             // wrapping only the result lets the optimizer replace the
             // loop by its closed form, and the caller then drains every
@@ -569,7 +614,7 @@ mod tests {
             let items: Vec<u32> = (0..64).collect();
             let mut states = WorkerStates::new(4, |_| ());
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                par_map_with_threads(threads, &mut states, &items, |_, _, &x| {
+                mapped(threads, &mut states, &items, |_, _, &x| {
                     if x == 21 {
                         panic!("payload {x}");
                     }
@@ -594,14 +639,14 @@ mod tests {
         let mut states = WorkerStates::new(3, |_| ());
 
         let base = dispatch_stats();
-        par_map_with_threads(1, &mut states, &items, |_, _, &x| x);
+        mapped(1, &mut states, &items, |_, _, &x| x);
         let serial = dispatch_stats().since(&base);
         assert_eq!(serial.serial_batches, 1);
         assert_eq!(serial.pool_batches, 0);
 
         let base = dispatch_stats();
-        par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
-        par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
+        mapped(3, &mut states, &items, |_, _, &x| x);
+        mapped(3, &mut states, &items, |_, _, &x| x);
         let pooled = dispatch_stats().since(&base);
         assert_eq!(pooled.pool_batches, 2);
         assert_eq!(
@@ -655,7 +700,7 @@ mod tests {
         let items: Vec<u32> = (0..64).collect();
         let mut states = WorkerStates::new(3, |_| ());
         with_pool(&pool, || {
-            let out = par_map_with_threads(3, &mut states, &items, |_, _, &x| x + 1);
+            let out = mapped(3, &mut states, &items, |_, _, &x| x + 1);
             assert_eq!(out[5], 6);
         });
         assert_eq!(pool.worker_count(), 2, "batch ran on the override pool");
@@ -676,8 +721,8 @@ mod tests {
         let mut states = WorkerStates::new(3, |_| ());
         let base = dispatch_stats();
         with_pool(&pool, || {
-            par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
-            par_map_with_threads(3, &mut states, &items, |_, _, &x| x);
+            mapped(3, &mut states, &items, |_, _, &x| x);
+            mapped(3, &mut states, &items, |_, _, &x| x);
         });
         let d = dispatch_stats().since(&base);
         assert_eq!(d.pool_batches, 2);
@@ -696,7 +741,7 @@ mod tests {
         // every item processed exactly once.
         let mut states = WorkerStates::new(2, |_| 0usize);
         let items: Vec<u32> = (0..40).collect();
-        let out = par_map_with_threads(8, &mut states, &items, |s, _, &x| {
+        let out = mapped(8, &mut states, &items, |s, _, &x| {
             *s += 1;
             x
         });

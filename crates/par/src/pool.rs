@@ -428,14 +428,14 @@ impl Pool {
         let threads = threads.min(items.len().max(1)).min(states.len());
         if threads <= 1 || items.len() <= 1 {
             bump_dispatch(|d| d.serial_batches += 1);
-            return serial_map(states, items, f);
+            return serial_map(states, items, f).collect();
         }
         if in_pool_worker() {
             bump_dispatch(|d| {
                 d.serial_batches += 1;
                 d.nested_serial += 1;
             });
-            return serial_map(states, items, f);
+            return serial_map(states, items, f).collect();
         }
 
         let next = AtomicUsize::new(0);
@@ -690,7 +690,7 @@ mod tests {
                 let items: Vec<u64> = (0..len as u64).map(|x| x ^ 0x5A5A).collect();
                 let mut ss = WorkerStates::new(threads, |_| 0u64);
                 let mut pp = WorkerStates::new(threads, |_| 0u64);
-                let serial = serial_map(&mut ss, &items, f);
+                let serial: Vec<u64> = serial_map(&mut ss, &items, f).collect();
                 let pooled = pool.par_map_with_threads(threads, &mut pp, &items, f);
                 assert_eq!(serial, pooled, "t{threads} n{len}");
                 assert_eq!(
