@@ -55,6 +55,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use spmap_graph::{NodeId, TaskGraph};
 use spmap_model::{
@@ -381,30 +382,6 @@ impl BatchStats {
     }
 }
 
-/// A multi-assignment candidate: reassign every listed node to its
-/// paired device, relative to the engine's current base mapping.
-///
-/// This generalizes the engine's original "single op: subgraph → one
-/// device" candidates — a [`DeltaOp`] may move different nodes to
-/// different devices in one candidate.  Fingerprints, FPGA-area sums
-/// and lower bounds are maintained in `O(k)` for `k` reassignments
-/// (plus their incident edges), and windowed re-simulation starts at
-/// the minimum earliest-read position over all changed nodes, per
-/// schedule.  Entries whose node already sits on the listed device are
-/// ignored; a node must appear at most once.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct DeltaOp {
-    /// The `(node, new device)` reassignments of this candidate.
-    pub changes: Vec<(NodeId, DeviceId)>,
-}
-
-impl DeltaOp {
-    /// A delta moving every node of `changes` to its paired device.
-    pub fn new(changes: Vec<(NodeId, DeviceId)>) -> Self {
-        Self { changes }
-    }
-}
-
 /// Per-worker state: an evaluation scratch plus a private copy of the
 /// engine's base mapping in the tables' internal numbering — the device
 /// view the window kernel replays against.  The copy is re-gathered once
@@ -525,7 +502,9 @@ impl<'g> std::ops::Deref for TablesSource<'g> {
 /// aggregates, the makespan memo, and one worker state per thread.
 pub struct CandidateBatch<'g> {
     tables: TablesSource<'g>,
-    subgraphs: Vec<Vec<NodeId>>,
+    /// Shared with the session that built it, so a warm remap does not
+    /// copy the set.
+    subgraphs: Arc<[Vec<NodeId>]>,
     devices: Vec<DeviceId>,
     cfg: EngineConfig,
     threads: usize,
@@ -578,9 +557,8 @@ pub struct CandidateBatch<'g> {
     /// Region membership stamps for O(1) "is node in candidate" tests.
     mark: Vec<u64>,
     /// Target device of each node stamped in the current candidate
-    /// region (valid only where `mark[v] == mark_gen`): single-op
-    /// candidates stamp one shared device, [`DeltaOp`] candidates stamp
-    /// one device per reassigned node.
+    /// region (valid only where `mark[v] == mark_gen`): the op's
+    /// device.
     target: Vec<DeviceId>,
     mark_gen: u64,
     /// The candidates of the current sweep awaiting simulation; kept
@@ -623,7 +601,7 @@ impl<'g> CandidateBatch<'g> {
         let tables = EvalTables::with_numbering(graph, platform, cfg.numbering);
         Self::from_source(
             TablesSource::Owned(tables),
-            subgraphs,
+            subgraphs.into(),
             devices,
             cfg,
             cost,
@@ -649,18 +627,38 @@ impl<'g> CandidateBatch<'g> {
         cfg: EngineConfig,
         cost: CostModel,
     ) -> Self {
+        Self::with_shared_set(tables, subgraphs.into(), devices, cfg, cost, None)
+    }
+
+    /// [`Self::with_shared_tables`] on a shared subgraph set, from `base`
+    /// or (`None`) the all-default mapping.
+    pub(crate) fn with_shared_set(
+        tables: &'g EvalTables<'g>,
+        subgraphs: Arc<[Vec<NodeId>]>,
+        devices: Vec<DeviceId>,
+        cfg: EngineConfig,
+        cost: CostModel,
+        base: Option<Mapping>,
+    ) -> Self {
         assert_eq!(
             cfg.numbering,
             tables.numbering(),
             "shared tables were built under a different numbering than the engine config"
         );
+        if let Some(base) = &base {
+            assert_eq!(
+                base.len(),
+                tables.graph().node_count(),
+                "warm-start base mapping does not match the graph's node count"
+            );
+        }
         Self::from_source(
             TablesSource::Shared(tables),
             subgraphs,
             devices,
             cfg,
             cost,
-            None,
+            base,
         )
     }
 
@@ -678,35 +676,18 @@ impl<'g> CandidateBatch<'g> {
     /// base mapping is infeasible under the tables' platform.
     pub fn with_shared_tables_warm(
         tables: &'g EvalTables<'g>,
-        subgraphs: Vec<Vec<NodeId>>,
+        subgraphs: Arc<[Vec<NodeId>]>,
         devices: Vec<DeviceId>,
         cfg: EngineConfig,
         cost: CostModel,
         base: Mapping,
     ) -> Self {
-        assert_eq!(
-            cfg.numbering,
-            tables.numbering(),
-            "shared tables were built under a different numbering than the engine config"
-        );
-        assert_eq!(
-            base.len(),
-            tables.graph().node_count(),
-            "warm-start base mapping does not match the graph's node count"
-        );
-        Self::from_source(
-            TablesSource::Shared(tables),
-            subgraphs,
-            devices,
-            cfg,
-            cost,
-            Some(base),
-        )
+        Self::with_shared_set(tables, subgraphs, devices, cfg, cost, Some(base))
     }
 
     fn from_source(
         tables: TablesSource<'g>,
-        subgraphs: Vec<Vec<NodeId>>,
+        subgraphs: Arc<[Vec<NodeId>]>,
         devices: Vec<DeviceId>,
         cfg: EngineConfig,
         cost: CostModel,
@@ -1033,114 +1014,6 @@ impl<'g> CandidateBatch<'g> {
         self.results = results;
     }
 
-    /// Evaluate the improvement of every multi-assignment candidate in
-    /// `deltas` against the current base mapping, in one batch — the
-    /// multi-move generalization of [`Self::evaluate_ops`].
-    ///
-    /// Returns one improvement per candidate, in input order: `cur -
-    /// makespan(base with the delta applied)`, or `NEG_INFINITY` for
-    /// no-op deltas, area-infeasible candidates and — when `prune` is
-    /// on — candidates whose lower bound proves they cannot *strictly*
-    /// beat the best improvement of this batch.  All the `evaluate_ops`
-    /// guarantees carry over: every schedule of a candidate is windowed
-    /// from the minimum earliest-read position over its changed nodes
-    /// under that schedule, ties are never pruned, and every returned
-    /// (non-pruned) improvement is bit-identical to a serial
-    /// from-scratch re-simulation of the delta.
-    pub fn evaluate_deltas(&mut self, deltas: &[DeltaOp], prune: bool) -> Vec<f64> {
-        if prune {
-            self.ensure_prune_aggregates();
-        }
-        let threshold = self.cur * REL_EPS;
-        let mut out = vec![f64::NEG_INFINITY; deltas.len()];
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut results = std::mem::take(&mut self.results);
-        pending.clear();
-        let mut incumbent = f64::NEG_INFINITY;
-        for (slot, delta) in deltas.iter().enumerate() {
-            match self.classify_delta(delta, prune) {
-                Verdict::Trivial => self.stats.trivial += 1,
-                Verdict::Memoized(ms) => {
-                    self.stats.memo_hits += 1;
-                    let d = self.cur - ms;
-                    out[slot] = d;
-                    if d > incumbent {
-                        incumbent = d;
-                    }
-                }
-                Verdict::Simulate {
-                    fp,
-                    bound,
-                    mask,
-                    best_known,
-                } => {
-                    // Deltas carry no persistent identity across calls,
-                    // so the best-first scan orders by the bound itself.
-                    pending.push(Pending {
-                        slot,
-                        op: slot,
-                        fp,
-                        bound,
-                        expected: bound,
-                        mask,
-                        best_known,
-                    });
-                }
-            }
-        }
-        if prune {
-            pending.sort_by(|a, b| b.expected.total_cmp(&a.expected).then(a.op.cmp(&b.op)));
-        }
-        let chunk_size = self.cfg.chunk_size.max(1);
-        let mut next = 0usize;
-        while next < pending.len() {
-            let cut = max_beatable(threshold, incumbent);
-            if prune {
-                while next < pending.len() && cannot_win(pending[next].bound, incumbent, threshold)
-                {
-                    self.stats.pruned += 1;
-                    next += 1;
-                }
-                if next >= pending.len() {
-                    break;
-                }
-            }
-            let mut end = (next + chunk_size).min(pending.len());
-            if prune {
-                while end > next + 1 && cannot_win(pending[end - 1].bound, incumbent, threshold) {
-                    end -= 1;
-                }
-            }
-            let chunk = &pending[next..end];
-            let cutoff = if prune { self.cur - cut } else { f64::INFINITY };
-            self.simulate_delta_chunk(chunk, deltas, cutoff, &mut results);
-            for (p, r) in chunk.iter().zip(&results) {
-                self.stats.sched_simulated += u64::from(r.completed);
-                self.stats.sched_aborted += u64::from(r.aborted);
-                for &(s, ms) in &r.banked {
-                    self.sched_memo.insert((p.fp, s), ms);
-                }
-                if r.aborted == 0 || r.best <= cutoff {
-                    let d = self.cur - r.best;
-                    out[p.slot] = d;
-                    self.stats.simulated += 1;
-                    if self.cfg.memo {
-                        self.memo.insert(p.fp, r.best);
-                    }
-                    if d > incumbent {
-                        incumbent = d;
-                    }
-                } else {
-                    self.stats.aborted += 1;
-                }
-            }
-            next = end;
-        }
-        self.pending = pending;
-        self.results = results;
-        out
-    }
-
     /// Apply `op` permanently: update the mapping, fingerprint, load
     /// aggregates and current makespan.
     pub fn commit(&mut self, op: OpId) {
@@ -1266,108 +1139,6 @@ impl<'g> CandidateBatch<'g> {
         }
     }
 
-    /// Classify one [`DeltaOp`] candidate without simulating it — the
-    /// multi-assignment generalization of [`Self::classify`], sharing
-    /// the stamped-region bookkeeping, the memos and the lower bound.
-    /// Fingerprint, area and bound maintenance are all `O(k)` in the
-    /// number of reassigned nodes (plus their incident edges).
-    ///
-    /// The post-marking tail (area guard, memo probes, schedule mask,
-    /// bound) deliberately mirrors [`Self::classify`] line for line
-    /// instead of sharing a helper: the op path borrows its subgraph
-    /// from `self.subgraphs` across the tail, so a `&mut self` helper
-    /// cannot take the moved-node iterator without an allocation on the
-    /// memo-hit fast path.  Changes to either tail must be applied to
-    /// both.
-    fn classify_delta(&mut self, delta: &DeltaOp, prune: bool) -> Verdict {
-        let dm = self.tables.device_count();
-        // Mark the changed region and fold its effects in one pass.
-        self.mark_gen += 1;
-        let mark_gen = self.mark_gen;
-        let mut fp = self.fingerprint;
-        let mut any = false;
-        let mut area = [0.0f64; 8];
-        area[..dm].copy_from_slice(&self.area_used);
-        for &(v, d) in &delta.changes {
-            // A real (non-no-op) reassignment of the same node twice
-            // would silently corrupt the fingerprint and poison the
-            // shared memo in release builds — fail loudly instead (the
-            // compare is one load against an already-hot stamp line).
-            assert!(
-                self.mark[v.index()] != mark_gen,
-                "DeltaOp reassigns node {v:?} twice"
-            );
-            let old = self.mapping.device(v);
-            if old == d {
-                continue;
-            }
-            any = true;
-            self.mark[v.index()] = mark_gen;
-            self.target[v.index()] = d;
-            fp.toggle(v, old, d);
-            if self.tables.is_fpga_device(old) {
-                area[old.index()] -= self.tables.task_area(v);
-            }
-            if self.tables.is_fpga_device(d) {
-                area[d.index()] += self.tables.task_area(v);
-            }
-        }
-        if !any {
-            return Verdict::Trivial;
-        }
-        for (dev, &used) in area.iter().enumerate().take(dm) {
-            let id = DeviceId(dev as u32);
-            if !self.tables.is_fpga_device(id) {
-                continue;
-            }
-            let limit = self.tables.area_capacity(id) + 1e-9;
-            let guard = 1e-12 * (1.0 + limit.abs());
-            let over = if (used - limit).abs() <= guard {
-                self.exact_candidate_area(id) > limit
-            } else {
-                used > limit
-            };
-            if over {
-                return Verdict::Trivial;
-            }
-        }
-        if self.cfg.memo {
-            if let Some(ms) = self.memo.get(&fp.value()) {
-                return Verdict::Memoized(ms);
-            }
-        }
-        let s_count = self.schedules.len();
-        let mut mask: u64 = u64::MAX >> (64 - s_count as u32);
-        let mut best_known = f64::INFINITY;
-        if self.cfg.memo && s_count > 1 {
-            for s in 0..s_count {
-                if let Some(ms) = self.sched_memo.get(&(fp.value(), s as u32)) {
-                    mask &= !(1 << s);
-                    self.stats.sched_memo_hits += 1;
-                    if ms < best_known {
-                        best_known = ms;
-                    }
-                }
-            }
-            if mask == 0 {
-                self.memo.insert(fp.value(), best_known);
-                return Verdict::Memoized(best_known);
-            }
-        }
-        let bound = if prune {
-            self.cur
-                - self.candidate_lower_bound(delta.changes.iter().copied()) * (1.0 - BOUND_SLACK)
-        } else {
-            f64::INFINITY
-        };
-        Verdict::Simulate {
-            fp: fp.value(),
-            bound,
-            mask,
-            best_known,
-        }
-    }
-
     /// FPGA area of device `dev` under the current candidate (marked
     /// region moved to its stamped `target` devices), accumulated in
     /// node-index order — the exact sequence
@@ -1392,9 +1163,8 @@ impl<'g> CandidateBatch<'g> {
     /// (base with every `(v, d_v)` of `moved` applied).  Callers must
     /// have stamped the changed region into `self.mark`/`self.target`
     /// with the current `mark_gen`; pairs whose node is unmarked (no-op
-    /// reassignments) are skipped.  Single-op candidates pass every node
-    /// with the same device; [`DeltaOp`] candidates pass one device per
-    /// node — the arithmetic sequence is identical in the shared case.
+    /// reassignments) are skipped.  Operations pass every node with the
+    /// same device.
     ///
     /// Three sound components, each `≤ makespan` of *any* schedule the
     /// evaluator can produce (see docs/PERF.md for the arguments):
@@ -1541,33 +1311,6 @@ impl<'g> CandidateBatch<'g> {
         });
     }
 
-    /// [`Self::simulate_chunk`] for [`DeltaOp`] candidates: identical
-    /// sweep machinery, but each candidate's moves come from its delta's
-    /// explicit `(node, device)` list (`Pending::op` indexes `deltas`).
-    fn simulate_delta_chunk(
-        &mut self,
-        chunk: &[Pending],
-        deltas: &[DeltaOp],
-        cutoff: f64,
-        out: &mut Vec<CandidateSim>,
-    ) {
-        let tables = &self.tables;
-        let schedules = &self.schedules;
-        let checkpoints = &self.checkpoints;
-        let base = &self.mapping;
-        let generation = self.generation;
-        let bank = self.cfg.memo && self.schedules.len() > 1;
-        par_map_with_threads(self.threads, &mut self.workers, chunk, out, |w, _, p| {
-            w.sync(tables, base, generation);
-            for &(v, d) in &deltas[p.op].changes {
-                w.apply(tables, v, d);
-            }
-            let sim = sweep_candidate(tables, schedules, checkpoints, w, p, cutoff, bank);
-            w.revert(tables);
-            sim
-        });
-    }
-
     /// Simulate the current base mapping on worker 0's scratch under
     /// *every* schedule of the set, recording each schedule's snapshot
     /// trail for windowed re-simulation; returns the cost-model makespan
@@ -1671,9 +1414,7 @@ impl<'g> CandidateBatch<'g> {
 /// moves are already applied to `w.devices` (undo log in `w.undo`):
 /// each schedule is windowed from the candidate's minimum earliest-read
 /// position over all changed nodes *under that schedule*, under the
-/// running cutoff `min(cutoff, best schedule so far)`.  Shared by the
-/// single-op and the [`DeltaOp`] simulation paths — the sweep never
-/// cares how the moves were described, only which nodes changed.
+/// running cutoff `min(cutoff, best schedule so far)`.
 fn sweep_candidate(
     tables: &EvalTables<'_>,
     schedules: &ReportSchedules,
@@ -2180,175 +1921,6 @@ mod tests {
         assert_eq!(results[0], results[2], "stats and deltas thread-invariant");
     }
 
-    /// Deterministic multi-assignment deltas over a graph: mixes
-    /// single-node moves, multi-node single-device moves and genuinely
-    /// multi-device reassignments (different nodes to different
-    /// devices), plus no-op entries.
-    fn delta_zoo(g: &TaskGraph, p: &Platform) -> Vec<DeltaOp> {
-        let n = g.node_count() as u32;
-        let dm = p.device_count() as u32;
-        let mut deltas = Vec::new();
-        for t in 0..24u32 {
-            let k = 1 + (t % 4) as usize;
-            let changes: Vec<(NodeId, DeviceId)> = (0..k)
-                .map(|j| {
-                    let v = (t.wrapping_mul(13).wrapping_add(j as u32 * 29)) % n;
-                    let d = (t + j as u32) % dm;
-                    (NodeId(v), DeviceId(d))
-                })
-                .collect();
-            // A node may repeat across deltas but not within one.
-            let mut seen = Vec::new();
-            let changes: Vec<_> = changes
-                .into_iter()
-                .filter(|&(v, _)| {
-                    if seen.contains(&v) {
-                        false
-                    } else {
-                        seen.push(v);
-                        true
-                    }
-                })
-                .collect();
-            deltas.push(DeltaOp::new(changes));
-        }
-        deltas.push(DeltaOp::default()); // empty: trivially a no-op
-        deltas
-    }
-
-    /// Reference improvements: serial probe of every delta against the
-    /// engine's base mapping, exactly like the seed inner loop would.
-    fn reference_delta_improvements(
-        g: &TaskGraph,
-        p: &Platform,
-        eng: &CandidateBatch<'_>,
-        deltas: &[DeltaOp],
-    ) -> Vec<f64> {
-        let mut ev = Evaluator::new(g, p);
-        let mut mapping = eng.mapping().clone();
-        let cur = eng.current_makespan();
-        deltas
-            .iter()
-            .map(|delta| {
-                let undo: Vec<(NodeId, DeviceId)> = delta
-                    .changes
-                    .iter()
-                    .filter_map(|&(v, d)| {
-                        let old = mapping.device(v);
-                        (old != d).then_some((v, old))
-                    })
-                    .collect();
-                if undo.is_empty() {
-                    return f64::NEG_INFINITY;
-                }
-                for &(v, d) in &delta.changes {
-                    mapping.set(v, d);
-                }
-                let imp = match ev.makespan_bfs(&mapping) {
-                    Some(ms) => cur - ms,
-                    None => f64::NEG_INFINITY,
-                };
-                for &(v, old) in undo.iter().rev() {
-                    mapping.set(v, old);
-                }
-                imp
-            })
-            .collect()
-    }
-
-    #[test]
-    fn unpruned_delta_batch_matches_serial_probe_bitwise() {
-        for seed in [1u64, 6, 12] {
-            let (g, p) = setup(seed);
-            let mut eng = engine(
-                &g,
-                &p,
-                EngineConfig {
-                    threads: Some(4),
-                    memo: false,
-                    prune: false,
-                    ..EngineConfig::default()
-                },
-            );
-            let deltas = delta_zoo(&g, &p);
-            let batch = eng.evaluate_deltas(&deltas, false);
-            let reference = reference_delta_improvements(&g, &p, &eng, &deltas);
-            assert_eq!(batch, reference, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn pruned_delta_batch_preserves_the_winning_candidate() {
-        for seed in [3u64, 9] {
-            let (g, p) = setup(seed);
-            let mut eng = engine(
-                &g,
-                &p,
-                EngineConfig {
-                    threads: Some(4),
-                    ..Default::default()
-                },
-            );
-            let deltas = delta_zoo(&g, &p);
-            let pruned = eng.evaluate_deltas(&deltas, true);
-            let reference = reference_delta_improvements(&g, &p, &eng, &deltas);
-            let threshold = eng.current_makespan() * REL_EPS;
-            let pick = |d: &[f64]| {
-                d.iter().enumerate().filter(|(_, &x)| x > threshold).fold(
-                    None::<(usize, f64)>,
-                    |best, (i, &x)| {
-                        if best.is_none_or(|(_, b)| x > b) {
-                            Some((i, x))
-                        } else {
-                            best
-                        }
-                    },
-                )
-            };
-            assert_eq!(pick(&pruned), pick(&reference), "seed {seed}");
-            for (i, (&a, &b)) in pruned.iter().zip(&reference).enumerate() {
-                if a != f64::NEG_INFINITY {
-                    assert_eq!(a, b, "delta {i} seed {seed}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn delta_batch_memoizes_and_commits_interoperate() {
-        // Deltas and single ops share the memos: evaluating the single
-        // ops first must answer matching deltas from the memo.
-        let (g, p) = setup(4);
-        let mut eng = engine(
-            &g,
-            &p,
-            EngineConfig {
-                threads: Some(2),
-                ..Default::default()
-            },
-        );
-        let ops: Vec<OpId> = (0..eng.op_count()).collect();
-        let op_deltas = sweep(&mut eng, &ops, false);
-        // Build deltas mirroring the first few ops exactly.
-        let deltas: Vec<DeltaOp> = ops
-            .iter()
-            .take(12)
-            .map(|&op| {
-                let (sub, d) = eng.op_parts(op);
-                DeltaOp::new(sub.iter().map(|&v| (v, d)).collect())
-            })
-            .collect();
-        let hits_before = eng.stats().memo_hits;
-        let got = eng.evaluate_deltas(&deltas, false);
-        assert!(
-            eng.stats().memo_hits > hits_before,
-            "op-path results must answer identical deltas"
-        );
-        for (i, (&a, &b)) in got.iter().zip(&op_deltas).enumerate() {
-            assert_eq!(a, b, "delta {i} disagrees with its op twin");
-        }
-    }
-
     #[test]
     fn tiny_memo_capacity_is_respected_and_exact() {
         for seed in [2u64, 8] {
@@ -2420,8 +1992,8 @@ mod tests {
     }
 
     /// The two engines of the lazy-aggregate tests: one that builds its
-    /// prune aggregates on the all-default base (a pruned delta sweep,
-    /// which leaves the op expectations alone) and is then driven
+    /// prune aggregates on the all-default base (directly, which leaves
+    /// the op expectations alone) and is then driven
     /// through `commits` unpruned FirstFit commits on shared tables, and
     /// a fresh warm-started engine on the driven engine's final mapping.
     /// Memos are off, so the two engines' counters can only differ
@@ -2447,7 +2019,7 @@ mod tests {
             cfg,
             cost,
         );
-        driven.evaluate_deltas(&delta_zoo(tables.graph(), tables.platform()), true);
+        driven.ensure_prune_aggregates();
         let built = driven.aggregates_generation;
         assert_eq!(built, driven.generation);
         let ops: Vec<OpId> = (0..driven.op_count()).collect();
@@ -2464,7 +2036,7 @@ mod tests {
         );
         let fresh = CandidateBatch::with_shared_tables_warm(
             tables,
-            subgraphs,
+            subgraphs.into(),
             devices,
             cfg,
             cost,
@@ -2520,30 +2092,6 @@ mod tests {
                     "{tag}: counters differ"
                 );
                 assert!(fresh.stats().pruned > 0, "{tag}: nothing was pruned");
-            }
-        }
-    }
-
-    #[test]
-    fn lazy_prune_aggregates_match_a_fresh_engine_for_deltas() {
-        for seed in [4, 9] {
-            let (g, p) = setup(seed);
-            let tables = EvalTables::new(&g, &p);
-            let zoo = delta_zoo(&g, &p);
-            for cost in LAZY_COSTS {
-                let (mut driven, mut fresh) = driven_and_fresh(&tables, cost, 3);
-                let before = driven.stats();
-                let a = driven.evaluate_deltas(&zoo, true);
-                let b = fresh.evaluate_deltas(&zoo, true);
-                let tag = format!("seed {seed}, {cost:?}");
-                assert_eq!(driven.aggregates_generation, driven.generation, "{tag}");
-                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&a), bits(&b), "{tag}: improvements differ");
-                assert_eq!(
-                    stats_since(driven.stats(), before),
-                    stats_since(fresh.stats(), BatchStats::default()),
-                    "{tag}: counters differ"
-                );
             }
         }
     }

@@ -51,8 +51,7 @@ pub mod session;
 pub mod threshold;
 
 pub use batch::{
-    BatchStats, CandidateBatch, DeltaOp, EngineConfig, TablesSource, DEFAULT_MEMO_CAPACITY,
-    MAX_SCHEDULES,
+    BatchStats, CandidateBatch, EngineConfig, TablesSource, DEFAULT_MEMO_CAPACITY, MAX_SCHEDULES,
 };
 pub use cache::{ResponseCache, ResponseCacheStats, DEFAULT_RESPONSE_BUDGET_BYTES};
 pub use faults::{FaultKind, FaultSchedule, FaultSite, INJECTED_PANIC_PREFIX};

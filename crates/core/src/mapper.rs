@@ -7,6 +7,7 @@
 //! against (identical mappings, makespans and history, bit for bit).
 
 use std::fmt;
+use std::sync::Arc;
 
 use spmap_decomp::{series_parallel_subgraphs, single_node_subgraphs, CutPolicy};
 use spmap_graph::{NodeId, TaskGraph};
@@ -293,7 +294,7 @@ pub(crate) fn try_decomposition_map_on(
 ) -> Result<MapperResult, MapperError> {
     let tables = EvalTables::with_numbering(graph, platform, cfg.engine.numbering);
     let subgraphs = build_subgraphs(graph, cfg.strategy);
-    search_subgraphs(&tables, subgraphs, cfg, devices)
+    search_subgraphs(&tables, subgraphs.into(), cfg, devices)
 }
 
 /// Decomposition mapping on pre-built evaluation tables and a pre-built
@@ -302,8 +303,8 @@ pub(crate) fn try_decomposition_map_on(
 /// list (`None` = every platform device).  Restricting devices is exact
 /// — an avoided device contributes no exec, link or area term — and is
 /// how availability-limited requests (device loss) are executed without
-/// platform surgery.  A session passes a clone of the subgraph set it
-/// keeps, so a graph is decomposed once.
+/// platform surgery.  A session shares the subgraph set it keeps, so a
+/// graph is decomposed once and its set is never copied.
 ///
 /// # Panics
 ///
@@ -311,7 +312,7 @@ pub(crate) fn try_decomposition_map_on(
 /// were built under (see [`CandidateBatch::with_shared_tables`]).
 pub(crate) fn search_subgraphs<'g>(
     tables: &'g EvalTables<'g>,
-    subgraphs: Vec<Vec<NodeId>>,
+    subgraphs: Arc<[Vec<NodeId>]>,
     cfg: &MapperConfig,
     devices: Option<&[DeviceId]>,
 ) -> Result<MapperResult, MapperError> {
@@ -320,7 +321,7 @@ pub(crate) fn search_subgraphs<'g>(
         None => tables.platform().device_ids().collect(),
     };
     let engine =
-        CandidateBatch::with_shared_tables(tables, subgraphs, devices, cfg.engine, cfg.cost);
+        CandidateBatch::with_shared_set(tables, subgraphs, devices, cfg.engine, cfg.cost, None);
     let ops: Vec<OpId> = (0..engine.op_count()).collect();
     drive_search(engine, cfg, &ops)
 }

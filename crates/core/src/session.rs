@@ -247,7 +247,8 @@ pub struct RemapSession {
     platform: Arc<Platform>,
     cfg: MapperConfig,
     available: Vec<bool>,
-    subgraphs: Vec<Vec<NodeId>>,
+    /// The candidate subgraph set, shared with each remap's engine.
+    subgraphs: Arc<[Vec<NodeId>]>,
     artifact: Arc<EvalArtifact>,
     incumbent: Mapping,
     incumbent_makespan: f64,
@@ -308,13 +309,13 @@ impl RemapSession {
             Arc::clone(&req.platform),
             cfg.engine.numbering,
         ));
-        let subgraphs = build_subgraphs(&req.graph, cfg.strategy);
+        let subgraphs: Arc<[Vec<NodeId>]> = build_subgraphs(&req.graph, cfg.strategy).into();
         // The opening map is exactly a one-shot map of `req`, so it
         // shares that map's cache key.
         let (initial, cache_hit) = cached(cache, key, || {
             search_subgraphs(
                 artifact.tables(),
-                subgraphs.clone(),
+                Arc::clone(&subgraphs),
                 &cfg,
                 req.limits.devices.as_deref(),
             )
@@ -422,12 +423,12 @@ impl RemapSession {
         let c = self.compile(perturbations)?;
         let devices = device_list(&c.available);
         let artifact = self.artifact_for(&c);
-        // Clone rather than take: an error mid-search must leave the
+        // Share rather than take: an error mid-search must leave the
         // session state untouched and reusable.
-        let subgraphs = if c.structure_changed {
-            build_subgraphs(&c.graph, self.cfg.strategy)
+        let subgraphs: Arc<[Vec<NodeId>]> = if c.structure_changed {
+            build_subgraphs(&c.graph, self.cfg.strategy).into()
         } else {
-            self.subgraphs.clone()
+            Arc::clone(&self.subgraphs)
         };
         let m = devices.len();
         let op_count = subgraphs.len() * m;
@@ -465,7 +466,7 @@ impl RemapSession {
                 };
                 let engine = CandidateBatch::with_shared_tables_warm(
                     artifact.tables(),
-                    subgraphs.clone(),
+                    Arc::clone(&subgraphs),
                     devices,
                     self.cfg.engine,
                     self.cfg.cost,
@@ -528,7 +529,7 @@ impl RemapSession {
         &mut self,
         c: Compiled,
         artifact: Arc<EvalArtifact>,
-        subgraphs: Vec<Vec<NodeId>>,
+        subgraphs: Arc<[Vec<NodeId>]>,
         mut outcome: RemapOutcome,
     ) -> RemapOutcome {
         crate::faults::fault_point(crate::faults::FaultSite::SessionCommit);
@@ -559,11 +560,11 @@ impl RemapSession {
     /// committed inputs are always intact and the recovered session is
     /// bit-identical to a fresh one opened on the same patched state.
     pub fn rebuild(&mut self) -> Result<(), RemapError> {
-        self.subgraphs = build_subgraphs(&self.graph, self.cfg.strategy);
+        self.subgraphs = build_subgraphs(&self.graph, self.cfg.strategy).into();
         let devices = device_list(&self.available);
         let result = search_subgraphs(
             self.artifact.tables(),
-            self.subgraphs.clone(),
+            Arc::clone(&self.subgraphs),
             &self.cfg,
             Some(&devices),
         )?;
@@ -946,11 +947,14 @@ mod tests {
         // the remap decides exactly what re-decomposing would.
         let req = session_request(40, 5);
         let mut s = RemapSession::open(&req, None).expect("open");
-        let before = s.subgraphs.clone();
+        let before = Arc::clone(&s.subgraphs);
         let out = s.remap(&attrs_batch(&s)).expect("attrs");
         assert!(out.graph_rebuilt, "the tables see the new attributes");
-        assert_eq!(s.subgraphs, before);
-        assert_eq!(s.subgraphs, build_subgraphs(s.graph(), s.cfg.strategy));
+        assert!(Arc::ptr_eq(&s.subgraphs, &before), "the set is shared");
+        assert_eq!(
+            &s.subgraphs[..],
+            &build_subgraphs(s.graph(), s.cfg.strategy)[..]
+        );
         // Pinned from the build that re-decomposed on every attribute
         // change (FNV-1a over the device ids; thread-invariant values).
         let digest = out

@@ -10,6 +10,17 @@
 //! Series composition is kept *flat* (a series node never has a series
 //! child) and likewise for parallel nodes, so trees match the canonical
 //! drawings in the paper.
+//!
+//! Children live in one link pool shared by the whole arena, not in a
+//! `Vec` per node: a node owns a singly linked run of `len` links from
+//! `first` to `last`.  Appending splices in O(1) by pointing the last
+//! link at the appended run, which is how a series node extends in
+//! place and how a parallel node takes over the children of a parallel
+//! argument.  A run that was spliced into another node keeps reading
+//! correctly, because a list is read for its own `len` links only and
+//! never past its `last` — so a node orphaned by flattening still lists
+//! its own children, as it did when it was built.  Every node becomes a
+//! child at most once, so the pool holds at most one link per node.
 
 use spmap_graph::{EdgeId, NodeId, TaskGraph};
 
@@ -37,13 +48,12 @@ pub enum SpOp {
     Leaf(EdgeId),
 }
 
-/// One node of a decomposition tree.
+/// One node of a decomposition tree.  Its children are read through
+/// [`SpForest::children`].
 #[derive(Clone, Debug)]
 pub struct SpNode {
     /// Operation kind.
     pub op: SpOp,
-    /// Children (empty for leaves).
-    pub children: Vec<SpTreeId>,
     /// Start node of the represented subgraph.
     pub source: NodeId,
     /// End node of the represented subgraph.
@@ -52,21 +62,78 @@ pub struct SpNode {
     pub outsize: u32,
     /// Total number of represented (leaf) edges.
     pub edge_count: u32,
+    /// The children: `run.len` links of the pool from `run.first`.
+    run: Run,
+}
+
+/// A run of the link pool: `len` links from `first` to `last`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Run {
+    first: u32,
+    last: u32,
+    len: u32,
+}
+
+/// One child slot of the link pool.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    child: SpTreeId,
+    next: u32,
 }
 
 /// An arena of decomposition-tree nodes plus the forest's root list.
 #[derive(Clone, Debug, Default)]
 pub struct SpForest {
     nodes: Vec<SpNode>,
+    links: Vec<Link>,
     /// Roots in creation order; for Algorithm 1 the *core* tree (grown
     /// from the global source) is pushed last.
     pub roots: Vec<SpTreeId>,
 }
 
+/// Iterator over the children of one tree node, in order.
+#[derive(Clone, Debug)]
+pub struct Children<'a> {
+    links: &'a [Link],
+    next: u32,
+    left: u32,
+}
+
+impl Iterator for Children<'_> {
+    type Item = SpTreeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<SpTreeId> {
+        if self.left == 0 {
+            return None;
+        }
+        let link = self.links[self.next as usize];
+        self.next = link.next;
+        self.left -= 1;
+        Some(link.child)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl ExactSizeIterator for Children<'_> {}
+
 impl SpForest {
     /// An empty forest.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty forest with room for `nodes` arena nodes, so that a
+    /// decomposition of at most that many nodes never regrows it.
+    pub fn with_capacity(nodes: usize) -> Self {
+        Self {
+            nodes: Vec::with_capacity(nodes),
+            links: Vec::with_capacity(nodes),
+            roots: Vec::new(),
+        }
     }
 
     /// Number of arena nodes (including orphaned intermediates).
@@ -80,15 +147,26 @@ impl SpForest {
         &self.nodes[t.index()]
     }
 
+    /// The children of `t` in order (none for leaves).
+    #[inline]
+    pub fn children(&self, t: SpTreeId) -> Children<'_> {
+        let run = self.node(t).run;
+        Children {
+            links: &self.links,
+            next: run.first,
+            left: run.len,
+        }
+    }
+
     /// Create a leaf for graph edge `e = (u, v)`.
     pub fn leaf(&mut self, e: EdgeId, u: NodeId, v: NodeId) -> SpTreeId {
         self.push(SpNode {
             op: SpOp::Leaf(e),
-            children: Vec::new(),
             source: u,
             sink: v,
             outsize: 1,
             edge_count: 1,
+            run: Run::default(),
         })
     }
 
@@ -102,20 +180,13 @@ impl SpForest {
             self.node(x).source,
             "series composition requires sink(t) == source(x)"
         );
+        let tail = self.run_of(x, SpOp::Series);
         let x_node = self.node(x);
-        let (x_children, x_sink, x_outsize, x_edges) = (
-            if x_node.op == SpOp::Series {
-                x_node.children.clone()
-            } else {
-                vec![x]
-            },
-            x_node.sink,
-            x_node.outsize,
-            x_node.edge_count,
-        );
+        let (x_sink, x_outsize, x_edges) = (x_node.sink, x_node.outsize, x_node.edge_count);
         if self.node(t).op == SpOp::Series {
+            let run = self.append(self.node(t).run, tail);
             let node = &mut self.nodes[t.index()];
-            node.children.extend(x_children);
+            node.run = run;
             node.sink = x_sink;
             node.outsize = x_outsize;
             node.edge_count += x_edges;
@@ -123,15 +194,15 @@ impl SpForest {
         } else {
             let t_node = self.node(t);
             let (source, t_edges) = (t_node.source, t_node.edge_count);
-            let mut children = vec![t];
-            children.extend(x_children);
+            let head = self.single(t);
+            let run = self.append(head, tail);
             self.push(SpNode {
                 op: SpOp::Series,
-                children,
                 source,
                 sink: x_sink,
                 outsize: x_outsize,
                 edge_count: t_edges + x_edges,
+                run,
             })
         }
     }
@@ -142,7 +213,7 @@ impl SpForest {
         assert!(trees.len() >= 2, "parallel composition needs >= 2 trees");
         let source = self.node(trees[0]).source;
         let sink = self.node(trees[0]).sink;
-        let mut children = Vec::with_capacity(trees.len());
+        let mut run = Run::default();
         let mut outsize = 0;
         let mut edge_count = 0;
         for &t in trees {
@@ -151,20 +222,56 @@ impl SpForest {
             assert_eq!(node.sink, sink, "parallel children share the sink");
             outsize += node.outsize;
             edge_count += node.edge_count;
-            if node.op == SpOp::Parallel {
-                children.extend(node.children.iter().copied());
-            } else {
-                children.push(t);
-            }
+            let piece = self.run_of(t, SpOp::Parallel);
+            run = self.append(run, piece);
         }
         self.push(SpNode {
             op: SpOp::Parallel,
-            children,
             source,
             sink,
             outsize,
             edge_count,
+            run,
         })
+    }
+
+    /// The run `t` contributes as a child of an `op` node: its own
+    /// children when it is an `op` node itself (flattening), else a new
+    /// one-link run holding `t`.
+    fn run_of(&mut self, t: SpTreeId, op: SpOp) -> Run {
+        let node = self.node(t);
+        if node.op == op {
+            node.run
+        } else {
+            self.single(t)
+        }
+    }
+
+    /// A new one-link run holding `t`.
+    fn single(&mut self, t: SpTreeId) -> Run {
+        let at = self.links.len() as u32;
+        self.links.push(Link {
+            child: t,
+            next: u32::MAX,
+        });
+        Run {
+            first: at,
+            last: at,
+            len: 1,
+        }
+    }
+
+    /// `head` followed by `tail`; points `head`'s last link at `tail`.
+    fn append(&mut self, head: Run, tail: Run) -> Run {
+        if head.len == 0 {
+            return tail;
+        }
+        self.links[head.last as usize].next = tail.first;
+        Run {
+            first: head.first,
+            last: tail.last,
+            len: head.len + tail.len,
+        }
     }
 
     fn push(&mut self, node: SpNode) -> SpTreeId {
@@ -173,17 +280,23 @@ impl SpForest {
         id
     }
 
+    /// Push the children of `t` onto `stack` so that they pop in order.
+    fn push_children_reversed(&self, t: SpTreeId, stack: &mut Vec<SpTreeId>) {
+        let at = stack.len();
+        stack.extend(self.children(t));
+        stack[at..].reverse();
+    }
+
     /// All graph edges represented by the subtree rooted at `t`, in leaf
     /// order.
     pub fn collect_edges(&self, t: SpTreeId) -> Vec<EdgeId> {
         let mut out = Vec::with_capacity(self.node(t).edge_count as usize);
         let mut stack = vec![t];
         while let Some(id) = stack.pop() {
-            let node = self.node(id);
-            if let SpOp::Leaf(e) = node.op {
+            if let SpOp::Leaf(e) = self.node(id).op {
                 out.push(e);
             }
-            stack.extend(node.children.iter().rev());
+            self.push_children_reversed(id, &mut stack);
         }
         out
     }
@@ -209,7 +322,7 @@ impl SpForest {
         let mut stack: Vec<SpTreeId> = self.roots.iter().rev().copied().collect();
         while let Some(id) = stack.pop() {
             order.push(id);
-            stack.extend(self.node(id).children.iter().rev());
+            self.push_children_reversed(id, &mut stack);
         }
         order.into_iter()
     }
@@ -225,6 +338,7 @@ impl SpForest {
         let mut stack: Vec<SpTreeId> = self.roots.clone();
         while let Some(t) = stack.pop() {
             let node = self.node(t);
+            let children = self.children(t);
             match node.op {
                 SpOp::Leaf(e) => {
                     let edge = graph.edge(e);
@@ -232,41 +346,43 @@ impl SpForest {
                     assert_eq!(edge.dst, node.sink, "leaf sink mismatch");
                     assert_eq!(node.outsize, 1);
                     assert_eq!(node.edge_count, 1);
+                    assert_eq!(children.len(), 0, "leaf with children");
                     assert!(!edge_seen[e.index()], "edge {e} in two trees");
                     edge_seen[e.index()] = true;
                 }
                 SpOp::Series => {
-                    assert!(node.children.len() >= 2, "series with < 2 children");
+                    assert!(children.len() >= 2, "series with < 2 children");
                     let mut cur = node.source;
                     let mut edges = 0;
-                    for &c in &node.children {
+                    let mut last = t;
+                    for c in children {
                         let cn = self.node(c);
                         assert_ne!(cn.op, SpOp::Series, "nested series not flattened");
                         assert_eq!(cn.source, cur, "series chain broken");
                         cur = cn.sink;
                         edges += cn.edge_count;
+                        last = c;
+                        stack.push(c);
                     }
                     assert_eq!(cur, node.sink, "series sink mismatch");
                     assert_eq!(node.edge_count, edges);
-                    let last = *node.children.last().unwrap();
                     assert_eq!(node.outsize, self.node(last).outsize);
-                    stack.extend(&node.children);
                 }
                 SpOp::Parallel => {
-                    assert!(node.children.len() >= 2, "parallel with < 2 children");
+                    assert!(children.len() >= 2, "parallel with < 2 children");
                     let mut edges = 0;
                     let mut outsize = 0;
-                    for &c in &node.children {
+                    for c in children {
                         let cn = self.node(c);
                         assert_ne!(cn.op, SpOp::Parallel, "nested parallel not flattened");
                         assert_eq!(cn.source, node.source, "parallel source mismatch");
                         assert_eq!(cn.sink, node.sink, "parallel sink mismatch");
                         edges += cn.edge_count;
                         outsize += cn.outsize;
+                        stack.push(c);
                     }
                     assert_eq!(node.edge_count, edges);
                     assert_eq!(node.outsize, outsize);
-                    stack.extend(&node.children);
                 }
             }
         }
@@ -289,15 +405,10 @@ impl SpForest {
                 let edge = graph.edge(e);
                 writeln!(out, "{indent}{} - {}", edge.src.0, edge.dst.0).unwrap();
             }
-            SpOp::Series => {
-                writeln!(out, "{indent}S [{} - {}]", node.source.0, node.sink.0).unwrap();
-                for &c in &node.children {
-                    self.format_rec(c, graph, depth + 1, out);
-                }
-            }
-            SpOp::Parallel => {
-                writeln!(out, "{indent}P [{} - {}]", node.source.0, node.sink.0).unwrap();
-                for &c in &node.children {
+            SpOp::Series | SpOp::Parallel => {
+                let kind = if node.op == SpOp::Series { 'S' } else { 'P' };
+                writeln!(out, "{indent}{kind} [{} - {}]", node.source.0, node.sink.0).unwrap();
+                for c in self.children(t) {
                     self.format_rec(c, graph, depth + 1, out);
                 }
             }
@@ -334,7 +445,7 @@ mod tests {
         let s = f.series_extend(s, l2);
         let n = f.node(s);
         assert_eq!(n.op, SpOp::Series);
-        assert_eq!(n.children.len(), 3, "flat series");
+        assert_eq!(f.children(s).len(), 3, "flat series");
         assert_eq!((n.source, n.sink), (NodeId(0), NodeId(3)));
         assert_eq!(n.edge_count, 3);
         assert_eq!(n.outsize, 1);
@@ -353,7 +464,7 @@ mod tests {
         let s1 = f.series_extend(a, b); // 0..2
         let s2 = f.series_extend(c, d); // 2..4
         let s = f.series_extend(s1, s2);
-        assert_eq!(f.node(s).children.len(), 4);
+        assert_eq!(f.children(s).len(), 4);
         f.roots.push(s);
         f.validate(&g);
     }
@@ -398,7 +509,7 @@ mod tests {
         let p1 = f.parallel(&[l0, l1]);
         let l2 = f.leaf(e2, NodeId(0), NodeId(1));
         let p2 = f.parallel(&[p1, l2]);
-        assert_eq!(f.node(p2).children.len(), 3, "flat parallel");
+        assert_eq!(f.children(p2).len(), 3, "flat parallel");
         assert_eq!(f.node(p2).outsize, 3);
         f.roots.push(p2);
         f.validate(&g);

@@ -16,9 +16,10 @@
 //! set is exactly
 //! `{{0},{1},{2},{3},{4},{5},{1,2,3},{0,1,2,3,4,5}}`.
 
-use spmap_graph::{ops, NodeId, TaskGraph};
+use spmap_graph::ops::TwoTerminalEdges;
+use spmap_graph::{NodeId, TaskGraph};
 
-use crate::forest::{decompose_forest, CutPolicy};
+use crate::forest::{decompose_two_terminal, CutPolicy};
 use crate::sptree::{SpForest, SpOp, SpTreeId};
 
 /// A set of candidate subgraphs; each is a sorted, deduplicated node list.
@@ -62,101 +63,154 @@ pub fn single_node_subgraphs(g: &TaskGraph) -> SubgraphSet {
 }
 
 /// The series-parallel subgraph set (§III-C) built from the decomposition
-/// forest of `g` (normalized to two terminals internally; `policy` governs
+/// forest of `g` (closed to two terminals internally; `policy` governs
 /// conflict cuts on non-SP graphs).
 ///
 /// The set is all single nodes, then one list per inner operation in
 /// pre-order of the forest, keeping the first occurrence of each list.
+/// Apart from a fixed number of scratch arrays, the only allocations are
+/// the set's own lists.
 pub fn series_parallel_subgraphs(g: &TaskGraph, policy: CutPolicy) -> SubgraphSet {
-    let n_real = g.node_count();
     if g.edge_count() == 0 {
         return single_node_subgraphs(g);
     }
-    let norm = ops::normalize_terminals(g);
-    let result = decompose_forest(&norm.graph, norm.source, norm.sink, policy);
-    let mut subgraphs = single_node_subgraphs(g).subgraphs;
-    subgraphs.extend(dedup_first(operation_lists(
-        &result.forest,
-        &norm.graph,
-        n_real,
-    )));
+    let forest = decompose_two_terminal(&TwoTerminalEdges::new(g), policy).forest;
+    let lists = OperationLists::build(&forest, g.node_count());
+    let mut subgraphs = Vec::with_capacity(g.node_count() + lists.spans.len());
+    subgraphs.extend(g.nodes().map(|v| vec![v]));
+    lists.push_first_occurrences(&mut subgraphs);
     SubgraphSet { subgraphs }
 }
 
-/// The node list of every inner operation of `forest` that has at least
-/// two real nodes (shorter lists are singletons or empty), in pre-order:
-/// a series operation's nodes except its start and end node, a parallel
-/// operation's nodes including them; nodes `>= n_real` (virtual
-/// terminals) are dropped.
-///
-/// An operation's nodes are the union of its children's, so the sorted
-/// lists are built bottom-up — a parent merges its children's lists
-/// instead of re-walking its subtree — and each child list is moved into
-/// its (unique) parent.
-fn operation_lists(forest: &SpForest, graph: &TaskGraph, n_real: usize) -> Vec<Vec<NodeId>> {
-    let preorder: Vec<SpTreeId> = forest.iter_tree_nodes().collect();
-    let mut full: Vec<Vec<NodeId>> = vec![Vec::new(); forest.arena_len()];
-    let mut lists: Vec<Vec<NodeId>> = vec![Vec::new(); preorder.len()];
-    for (pos, &t) in preorder.iter().enumerate().rev() {
-        let node = forest.node(t);
-        if let SpOp::Leaf(_) = node.op {
-            continue;
-        }
-        let mut nodes = Vec::new();
-        for &c in &node.children {
-            match forest.node(c).op {
-                SpOp::Leaf(e) => {
-                    let edge = graph.edge(e);
-                    nodes.push(edge.src);
-                    nodes.push(edge.dst);
-                }
-                _ => nodes.append(&mut full[c.index()]),
-            }
-        }
-        // Concatenated sorted runs: the stable sort merges them.
-        nodes.sort();
-        nodes.dedup();
-        let real = nodes.partition_point(|v| v.index() < n_real);
-        let mut list = nodes[..real].to_vec();
-        if node.op == SpOp::Series {
-            list.retain(|&v| v != node.source && v != node.sink);
-        }
-        lists[pos] = list;
-        full[t.index()] = nodes;
-    }
-    lists.retain(|l| l.len() >= 2);
-    lists
+/// The node list of every inner operation of a forest that has at least
+/// two real nodes (shorter lists are singletons or empty), in pre-order,
+/// stored flat: a series operation's nodes except its start and end
+/// node, a parallel operation's nodes including them; nodes `>= n_real`
+/// (virtual terminals) are dropped.
+struct OperationLists {
+    nodes: Vec<NodeId>,
+    /// `(start, len)` of each list in `nodes`.
+    spans: Vec<(u32, u32)>,
 }
 
-/// `lists` without repeats, keeping each list's first occurrence in
-/// order.  Lists are grouped by `(length, hash)` and compared in full
-/// only within a group, so no list is cloned or hashed into a set.
-fn dedup_first(mut lists: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
-    let hash = |l: &[NodeId]| {
-        l.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
-            (h ^ u64::from(v.0)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    };
-    let keys: Vec<(usize, u64)> = lists.iter().map(|l| (l.len(), hash(l))).collect();
-    let mut order: Vec<usize> = (0..lists.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        keys[a]
-            .cmp(&keys[b])
-            .then_with(|| lists[a].cmp(&lists[b]))
-            .then(a.cmp(&b))
-    });
-    let mut repeat = vec![false; lists.len()];
-    for w in order.windows(2) {
-        if keys[w[0]] == keys[w[1]] && lists[w[0]] == lists[w[1]] {
-            repeat[w[1]] = true;
+/// One step of the post-order walk in [`OperationLists::build`].
+enum Step {
+    Enter(SpTreeId),
+    /// Finish inner node `t`, entered as the `pre`-th inner node, whose
+    /// children's node sets start at `mark` of the scratch stack.
+    Exit {
+        t: SpTreeId,
+        pre: usize,
+        mark: usize,
+    },
+}
+
+impl OperationLists {
+    /// One post-order walk over a scratch stack of node sets: an
+    /// operation's nodes are the union of its children's, so when it
+    /// finishes, its children's sorted sets lie on top of the stack and
+    /// become its own set in place (sort, dedup), and its list is
+    /// filtered out of that set.  Lists are numbered in pre-order.
+    fn build(forest: &SpForest, n_real: usize) -> Self {
+        // Sized from the arena (at most one list per node, two set
+        // entries per leaf) so that typical forests never regrow them.
+        let arena = forest.arena_len();
+        let mut lists = OperationLists {
+            nodes: Vec::with_capacity(arena),
+            spans: Vec::with_capacity(arena),
+        };
+        let mut sets: Vec<NodeId> = Vec::with_capacity(2 * arena);
+        let mut steps: Vec<Step> = Vec::with_capacity(arena);
+        for &root in &forest.roots {
+            steps.push(Step::Enter(root));
+            while let Some(step) = steps.pop() {
+                match step {
+                    Step::Enter(t) => {
+                        let node = forest.node(t);
+                        if let SpOp::Leaf(_) = node.op {
+                            sets.extend([node.source, node.sink]);
+                            continue;
+                        }
+                        steps.push(Step::Exit {
+                            t,
+                            pre: lists.spans.len(),
+                            mark: sets.len(),
+                        });
+                        lists.spans.push((0, 0));
+                        let at = steps.len();
+                        steps.extend(forest.children(t).map(Step::Enter));
+                        steps[at..].reverse();
+                    }
+                    Step::Exit { t, pre, mark } => {
+                        let set = &mut sets[mark..];
+                        set.sort_unstable();
+                        let mut len = 0;
+                        for i in 0..set.len() {
+                            if len == 0 || set[i] != set[len - 1] {
+                                set[len] = set[i];
+                                len += 1;
+                            }
+                        }
+                        sets.truncate(mark + len);
+                        let node = forest.node(t);
+                        let series = node.op == SpOp::Series;
+                        let start = lists.nodes.len();
+                        lists
+                            .nodes
+                            .extend(sets[mark..].iter().copied().filter(|&v| {
+                                v.index() < n_real
+                                    && !(series && (v == node.source || v == node.sink))
+                            }));
+                        let len = lists.nodes.len() - start;
+                        if len < 2 {
+                            lists.nodes.truncate(start);
+                        } else {
+                            lists.spans[pre] = (start as u32, len as u32);
+                        }
+                    }
+                }
+            }
+            sets.clear();
+        }
+        lists
+    }
+
+    fn list(&self, k: usize) -> &[NodeId] {
+        let (start, len) = self.spans[k];
+        &self.nodes[start as usize..(start + len) as usize]
+    }
+
+    /// Append each list to `out`, in order, unless an equal list came
+    /// before it.  Repeats are found through an open-addressing table of
+    /// list numbers, so no list is cloned before it is kept.
+    fn push_first_occurrences(&self, out: &mut Vec<Vec<NodeId>>) {
+        let hash = |l: &[NodeId]| {
+            l.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ u64::from(v.0)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let mask = (2 * self.spans.len()).next_power_of_two() - 1;
+        // Slot value: list number + 1; 0 marks an empty slot.
+        let mut table = vec![0u32; mask + 1];
+        for k in 0..self.spans.len() {
+            let list = self.list(k);
+            if list.is_empty() {
+                continue;
+            }
+            let mut slot = hash(list) as usize & mask;
+            loop {
+                match table[slot] {
+                    0 => {
+                        table[slot] = k as u32 + 1;
+                        out.push(list.to_vec());
+                        break;
+                    }
+                    seen if self.list(seen as usize - 1) == list => break,
+                    _ => slot = (slot + 1) & mask,
+                }
+            }
         }
     }
-    let mut i = 0;
-    lists.retain(|_| {
-        i += 1;
-        !repeat[i - 1]
-    });
-    lists
 }
 
 #[cfg(test)]
@@ -288,8 +342,9 @@ mod tests {
     /// set of cloned lists keeps first occurrences.
     fn subtree_walk_subgraphs(g: &TaskGraph, policy: CutPolicy) -> Vec<Vec<NodeId>> {
         let n_real = g.node_count();
-        let norm = ops::normalize_terminals(g);
-        let forest = decompose_forest(&norm.graph, norm.source, norm.sink, policy).forest;
+        let norm = spmap_graph::ops::normalize_terminals(g);
+        let forest =
+            crate::forest::decompose_forest(&norm.graph, norm.source, norm.sink, policy).forest;
         let mut raw: Vec<Vec<NodeId>> = g.nodes().map(|v| vec![v]).collect();
         for t in forest.iter_tree_nodes() {
             let node = forest.node(t);

@@ -240,10 +240,170 @@ pub fn normalize_terminals(g: &TaskGraph) -> NormalizedGraph<'_> {
     }
 }
 
+/// The out-adjacency of the graph [`normalize_terminals`] would build,
+/// flat and read-only: one CSR array of `(edge, head)` pairs, the
+/// indegrees, and the terminals.  Real nodes and edges keep their ids;
+/// a virtual source gets id `n`, a virtual sink the next id, and the
+/// virtual edges are numbered from `edge_count` on — source edges
+/// first, each group in node order — exactly as the normalized copy
+/// numbers them.  Building it copies no task and allocates three
+/// arrays, however many nodes the graph has.
+#[derive(Clone, Debug)]
+pub struct TwoTerminalEdges {
+    /// `out[start[v]..start[v + 1]]` are the out-edges of `v`.
+    start: Vec<u32>,
+    out: Vec<(EdgeId, NodeId)>,
+    in_degree: Vec<u32>,
+    /// Number of nodes of the input graph (ids below it are real).
+    pub real_nodes: usize,
+    /// The unique source.
+    pub source: NodeId,
+    /// The unique sink.
+    pub sink: NodeId,
+}
+
+impl TwoTerminalEdges {
+    /// The two-terminal closure of `g`.
+    pub fn new(g: &TaskGraph) -> Self {
+        let n = g.node_count();
+        let m = g.edge_count();
+        let is_source = |v: usize| g.in_degree(NodeId(v as u32)) == 0;
+        let is_sink = |v: usize| g.out_degree(NodeId(v as u32)) == 0;
+        let (mut srcs, mut snks) = (0, 0);
+        let (mut first_src, mut first_snk) = (n, n);
+        for v in (0..n).rev() {
+            if is_source(v) {
+                srcs += 1;
+                first_src = v;
+            }
+            if is_sink(v) {
+                snks += 1;
+                first_snk = v;
+            }
+        }
+        assert!(
+            srcs > 0 && snks > 0,
+            "DAG must have at least one source and sink"
+        );
+        let (need_src, need_snk) = (srcs > 1, snks > 1);
+        let total = n + usize::from(need_src) + usize::from(need_snk);
+        let v_source = NodeId(n as u32);
+        let v_sink = NodeId((n + usize::from(need_src)) as u32);
+        let virtual_edges = if need_src { srcs } else { 0 } + if need_snk { snks } else { 0 };
+        let mut start = Vec::with_capacity(total + 1);
+        let mut out = Vec::with_capacity(m + virtual_edges);
+        let mut in_degree = Vec::with_capacity(total);
+        let mut sink_edge = m + if need_src { srcs } else { 0 };
+        for v in 0..n {
+            let node = NodeId(v as u32);
+            start.push(out.len() as u32);
+            out.extend(g.out_edges(node).iter().map(|&e| (e, g.edge(e).dst)));
+            if need_snk && is_sink(v) {
+                out.push((EdgeId(sink_edge as u32), v_sink));
+                sink_edge += 1;
+            }
+            in_degree.push((g.in_degree(node) + usize::from(need_src && is_source(v))) as u32);
+        }
+        if need_src {
+            start.push(out.len() as u32);
+            let heads = (0..n).filter(|&v| is_source(v));
+            out.extend(
+                heads
+                    .zip(m..)
+                    .map(|(v, e)| (EdgeId(e as u32), NodeId(v as u32))),
+            );
+            in_degree.push(0);
+        }
+        if need_snk {
+            start.push(out.len() as u32);
+            in_degree.push(snks as u32);
+        }
+        start.push(out.len() as u32);
+        TwoTerminalEdges {
+            source: if need_src {
+                v_source
+            } else {
+                NodeId(first_src as u32)
+            },
+            sink: if need_snk {
+                v_sink
+            } else {
+                NodeId(first_snk as u32)
+            },
+            start,
+            out,
+            in_degree,
+            real_nodes: n,
+        }
+    }
+
+    /// Number of nodes, virtual terminals included.
+    pub fn node_count(&self) -> usize {
+        self.in_degree.len()
+    }
+
+    /// Number of edges, virtual edges included.
+    pub fn edge_count(&self) -> usize {
+        self.out.len()
+    }
+
+    /// `(edge, head)` of every out-edge of `v`, in edge-id order.
+    #[inline]
+    pub fn out(&self, v: NodeId) -> &[(EdgeId, NodeId)] {
+        let i = v.index();
+        &self.out[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// The indegree of every node, by id.
+    pub fn in_degrees(&self) -> &[u32] {
+        &self.in_degree
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dag::GraphBuilder;
+
+    #[test]
+    fn two_terminal_edges_match_the_normalized_graph() {
+        let mut shapes = vec![diamond()];
+        // Three sources, two sinks; one source, two sinks; two sources,
+        // one sink.
+        for edges in [
+            &[(0, 3), (1, 3), (2, 3), (3, 4), (3, 5), (1, 5)][..],
+            &[(0, 1), (0, 2), (1, 3), (0, 4), (1, 5)][..],
+            &[(0, 2), (1, 2), (2, 3), (1, 3), (3, 4), (0, 5), (5, 4)][..],
+        ] {
+            let mut b = GraphBuilder::new();
+            b.add_default_tasks(6);
+            for &(u, v) in edges {
+                b.add_edge(NodeId(u), NodeId(v), 1.0).unwrap();
+            }
+            shapes.push(b.build().unwrap());
+        }
+        for g in &shapes {
+            let norm = normalize_terminals(g);
+            let view = TwoTerminalEdges::new(g);
+            assert_eq!((view.source, view.sink), (norm.source, norm.sink));
+            assert_eq!(view.real_nodes, g.node_count());
+            assert_eq!(view.node_count(), norm.graph.node_count());
+            assert_eq!(view.edge_count(), norm.graph.edge_count());
+            for v in norm.graph.nodes() {
+                let expect: Vec<(EdgeId, NodeId)> = norm
+                    .graph
+                    .out_edges(v)
+                    .iter()
+                    .map(|&e| (e, norm.graph.edge(e).dst))
+                    .collect();
+                assert_eq!(view.out(v), expect.as_slice(), "out-edges of {v}");
+                assert_eq!(
+                    view.in_degrees()[v.index()] as usize,
+                    norm.graph.in_degree(v)
+                );
+            }
+        }
+    }
 
     fn diamond() -> TaskGraph {
         let mut b = GraphBuilder::new();

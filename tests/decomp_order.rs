@@ -111,7 +111,8 @@ fn digest(h: &mut Fnv, g: &TaskGraph, policy: CutPolicy) {
     let forest = &r.forest;
     h.word(forest.arena_len() as u64);
     for i in 0..forest.arena_len() {
-        let node = forest.node(SpTreeId(i as u32));
+        let id = SpTreeId(i as u32);
+        let node = forest.node(id);
         match node.op {
             SpOp::Leaf(e) => {
                 h.word(0);
@@ -124,8 +125,8 @@ fn digest(h: &mut Fnv, g: &TaskGraph, policy: CutPolicy) {
         h.word(u64::from(node.sink.0));
         h.word(u64::from(node.outsize));
         h.word(u64::from(node.edge_count));
-        h.word(node.children.len() as u64);
-        for c in &node.children {
+        h.word(forest.children(id).len() as u64);
+        for c in forest.children(id) {
             h.word(u64::from(c.0));
         }
     }
