@@ -5,8 +5,11 @@
 //! configuration — the engine reads no clocks and its decisions are
 //! thread-count invariant (docs/DETERMINISM.md).  A repeat request can
 //! therefore be answered with the stored result of its first run: a
-//! hit skips decomposition, table construction and the search, and
-//! costs two content fingerprints plus a short scan.
+//! hit skips decomposition, table construction and the search.  It
+//! costs `O(1)` in both the graph size and the number of resident
+//! entries: two memo reads (graph and platform memoize their
+//! fingerprints, see `spmap_model::fingerprint`), one hash-map probe,
+//! two ordered-index updates (`O(log n)`) and the clone of the result.
 //!
 //! ## Key soundness
 //!
@@ -33,14 +36,18 @@
 //!
 //! ## Eviction
 //!
-//! [`ResponseCache`] is a byte-budgeted LRU: entries carry a monotone
-//! use stamp, and an insert evicts the stalest entries until the budget
-//! holds.  An entry larger than the whole budget is not kept (and
+//! [`ResponseCache`] is a byte-budgeted LRU: entries carry a monotone,
+//! unique use stamp, and an insert evicts the stalest entries until the
+//! budget holds.  An entry larger than the whole budget is not kept (and
 //! counts as an eviction), so a 1-byte budget caches nothing.  Storage
-//! is a plain `Vec` scanned linearly, which keeps iteration
-//! deterministic without hash-order pragmas; the `u128` compare is
-//! trivial next to the fingerprints every lookup hashes anyway.
+//! is two indexes: a `HashMap` from key to entry, which is only ever
+//! probed by key and never iterated, so its order cannot reach a
+//! decision; and a `BTreeMap` from stamp to key, whose first element is
+//! the next victim.  Neither a lookup nor an insert walks the resident
+//! entries, and an eviction costs `O(log n)`.  The budget counts both
+//! indexes' per-entry cost (`entry_bytes`).
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, MutexGuard};
 
 use spmap_decomp::CutPolicy;
@@ -220,17 +227,20 @@ pub struct ResponseCacheStats {
 }
 
 struct Entry {
-    key: u128,
     /// Stored with zeroed `dispatch`, the value a hit reports.
     result: MapperResult,
-    /// Monotone last-use stamp (the LRU order).
+    /// Monotone, unique last-use stamp: the entry's key in the LRU index.
     stamp: u64,
     bytes: usize,
 }
 
-/// Approximate heap footprint of one entry, the unit of the budget.
+/// Approximate heap footprint of one entry, the unit of the budget: the
+/// hash-map slot (key, entry and control byte), the LRU index's
+/// `(stamp, key)` pair, and the result's heap arrays.
 fn entry_bytes(r: &MapperResult) -> usize {
-    std::mem::size_of::<Entry>()
+    std::mem::size_of::<(u128, Entry)>()
+        + 1
+        + std::mem::size_of::<(u64, u128)>()
         + r.mapping.len() * std::mem::size_of::<DeviceId>()
         + r.history.len() * std::mem::size_of::<f64>()
 }
@@ -239,7 +249,13 @@ fn entry_bytes(r: &MapperResult) -> usize {
 /// Not internally synchronized: the service wraps it in a `Mutex` and
 /// maps outside the lock.
 pub struct ResponseCache {
-    entries: Vec<Entry>,
+    /// Probed by key only, never iterated.  Keeps the default SipHash:
+    /// a key is an unkeyed, invertible hash of caller-supplied content,
+    /// so a fixed fold would let a caller search offline for requests
+    /// whose keys share one bucket.
+    entries: HashMap<u128, Entry>,
+    /// Use stamp -> key, oldest first: the eviction order.
+    lru: BTreeMap<u64, u128>,
     clock: u64,
     budget_bytes: usize,
     cur_bytes: usize,
@@ -251,7 +267,8 @@ impl ResponseCache {
     /// (`0` selects [`DEFAULT_RESPONSE_BUDGET_BYTES`]).
     pub fn new(budget_bytes: usize) -> Self {
         Self {
-            entries: Vec::new(),
+            entries: HashMap::new(),
+            lru: BTreeMap::new(),
             clock: 0,
             budget_bytes: if budget_bytes == 0 {
                 DEFAULT_RESPONSE_BUDGET_BYTES
@@ -263,15 +280,22 @@ impl ResponseCache {
         }
     }
 
+    /// The entry under `key`, re-stamped with the current clock.
+    fn touch(&mut self, key: u128) -> Option<&Entry> {
+        let e = self.entries.get_mut(&key)?;
+        self.lru.remove(&e.stamp);
+        e.stamp = self.clock;
+        self.lru.insert(self.clock, key);
+        Some(e)
+    }
+
     /// The response cached under `key`, refreshing its LRU stamp.
     pub(crate) fn lookup(&mut self, key: u128) -> Option<MapperResult> {
         self.clock += 1;
-        let clock = self.clock;
-        match self.entries.iter_mut().find(|e| e.key == key) {
-            Some(e) => {
-                e.stamp = clock;
+        match self.touch(key).map(|e| e.result.clone()) {
+            Some(hit) => {
                 self.stats.hits += 1;
-                Some(e.result.clone())
+                Some(hit)
             }
             None => {
                 self.stats.misses += 1;
@@ -285,8 +309,7 @@ impl ResponseCache {
     /// same key first; its entry stays (the results are identical).
     pub(crate) fn insert(&mut self, key: u128, result: &MapperResult) {
         self.clock += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.key == key) {
-            e.stamp = self.clock;
+        if self.touch(key).is_some() {
             return;
         }
         let result = MapperResult {
@@ -298,25 +321,22 @@ impl ResponseCache {
             self.stats.evictions += 1;
             return;
         }
-        self.entries.push(Entry {
+        let stamp = self.clock;
+        self.entries.insert(
             key,
-            result,
-            stamp: self.clock,
-            bytes,
-        });
+            Entry {
+                result,
+                stamp,
+                bytes,
+            },
+        );
+        self.lru.insert(stamp, key);
         self.cur_bytes += bytes;
         while self.cur_bytes > self.budget_bytes {
             // The new entry fits the budget alone and holds the newest
-            // stamp, so it is never the victim; stamps are unique, so
-            // the minimum is unambiguous and scan order cannot matter.
-            let oldest = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("entries is non-empty");
-            let evicted = self.entries.swap_remove(oldest);
+            // stamp, so it is never the victim.
+            let (_, oldest) = self.lru.pop_first().expect("over budget, so non-empty");
+            let evicted = self.entries.remove(&oldest).expect("indexes agree");
             self.cur_bytes -= evicted.bytes;
             self.stats.evictions += 1;
         }
@@ -545,5 +565,151 @@ mod tests {
             resolve(&ga, &RuntimeConfig::default()),
             Err(MapperError::UnsupportedAlgo { .. })
         ));
+    }
+
+    /// The linear-scan LRU the indexed cache replaced, kept as the
+    /// executable spec of its policy: same clock, same stamps, same
+    /// budget unit, victims found by scanning for the minimum stamp.
+    struct ReferenceCache {
+        entries: Vec<(u128, u64, usize)>,
+        clock: u64,
+        budget_bytes: usize,
+        cur_bytes: usize,
+        stats: ResponseCacheStats,
+        victims: Vec<u128>,
+    }
+
+    impl ReferenceCache {
+        fn new(budget_bytes: usize) -> Self {
+            Self {
+                entries: Vec::new(),
+                clock: 0,
+                budget_bytes,
+                cur_bytes: 0,
+                stats: ResponseCacheStats::default(),
+                victims: Vec::new(),
+            }
+        }
+
+        fn lookup(&mut self, key: u128) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            match self.entries.iter_mut().find(|e| e.0 == key) {
+                Some(e) => {
+                    e.1 = clock;
+                    self.stats.hits += 1;
+                    true
+                }
+                None => {
+                    self.stats.misses += 1;
+                    false
+                }
+            }
+        }
+
+        fn insert(&mut self, key: u128, bytes: usize) {
+            self.clock += 1;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == key) {
+                e.1 = self.clock;
+                return;
+            }
+            if bytes > self.budget_bytes {
+                self.stats.evictions += 1;
+                return;
+            }
+            self.entries.push((key, self.clock, bytes));
+            self.cur_bytes += bytes;
+            while self.cur_bytes > self.budget_bytes {
+                let oldest = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].1)
+                    .expect("entries is non-empty");
+                let evicted = self.entries.swap_remove(oldest);
+                self.cur_bytes -= evicted.2;
+                self.stats.evictions += 1;
+                self.victims.push(evicted.0);
+            }
+            self.stats.peak_bytes = self.stats.peak_bytes.max(self.cur_bytes);
+            self.stats.peak_entries = self.stats.peak_entries.max(self.entries.len());
+        }
+
+        /// Resident keys, least recently used first.
+        fn lru_order(&self) -> Vec<u128> {
+            let mut by_age = self.entries.clone();
+            by_age.sort_by_key(|e| e.1);
+            by_age.into_iter().map(|e| e.0).collect()
+        }
+    }
+
+    impl ResponseCache {
+        /// Resident keys, least recently used first.
+        fn lru_order(&self) -> Vec<u128> {
+            self.lru.values().copied().collect()
+        }
+    }
+
+    #[test]
+    fn indexed_cache_matches_the_linear_reference() {
+        // Results of several sizes, so evictions free different amounts.
+        let rs: Vec<MapperResult> = [6, 12, 20, 33].iter().map(|&n| result(n, 1)).collect();
+        let largest = rs.iter().map(entry_bytes).max().expect("four results");
+        for budget in [1, largest, 3 * largest, 5 * largest + 7] {
+            let mut fast = ResponseCache::new(budget);
+            let mut slow = ReferenceCache::new(budget);
+            let mut seen_victims = 0;
+            let mut state = 0x5eed_u64 ^ budget as u64;
+            for step in 0..3000 {
+                state = spmap_graph::fingerprint::mix64(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
+                let key = u128::from(state % 24);
+                let r = &rs[(state >> 8) as usize % rs.len()];
+                if state >> 40 & 1 == 0 {
+                    let hit = fast.lookup(key);
+                    assert_eq!(hit.is_some(), slow.lookup(key), "step {step}");
+                } else {
+                    let before = fast.lru_order();
+                    fast.insert(key, r);
+                    slow.insert(key, entry_bytes(r));
+                    // Victims leave in the reference's order: the
+                    // oldest of the pre-insert order go first.
+                    let after = fast.lru_order();
+                    let gone: Vec<u128> =
+                        before.into_iter().filter(|k| !after.contains(k)).collect();
+                    assert_eq!(gone, slow.victims[seen_victims..], "step {step} victims");
+                    seen_victims = slow.victims.len();
+                }
+                assert_eq!(fast.lru_order(), slow.lru_order(), "step {step} order");
+                assert_eq!(fast.stats(), slow.stats, "step {step} stats");
+                assert_eq!(fast.cur_bytes, slow.cur_bytes, "step {step} bytes");
+                assert_eq!(fast.entries.len(), fast.lru.len(), "indexes agree");
+            }
+            if budget > 1 {
+                assert!(
+                    slow.stats.evictions > 0 && slow.stats.hits > 0,
+                    "budget {budget}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn twenty_thousand_entries_hit_at_both_ends() {
+        let r = result(6, 2);
+        let mut cache = ResponseCache::new(usize::MAX);
+        let n = 20_000u128;
+        for k in 0..n {
+            cache.insert(k, &r);
+        }
+        assert_eq!(cache.entries.len(), 20_000);
+        assert_eq!(
+            cache.lru.first_key_value(),
+            Some((&1, &0)),
+            "first insert is oldest"
+        );
+        assert!(cache.lookup(n - 1).is_some(), "last-inserted key");
+        assert!(cache.lookup(0).is_some(), "first-inserted key");
+        assert!(cache.lookup(n).is_none());
+        assert_eq!(cache.lru.last_key_value(), Some((&(n as u64 + 2), &0)));
+        assert_eq!(cache.stats().hits, 2);
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().peak_entries, 20_000);
     }
 }

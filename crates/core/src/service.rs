@@ -902,4 +902,65 @@ mod tests {
         // The slot was released despite the refusal.
         assert!(svc.map(&request(4)).is_ok());
     }
+
+    #[test]
+    fn repeat_requests_hash_each_fingerprint_once() {
+        use spmap_graph::fingerprint::graph_fingerprints_computed;
+        use spmap_model::fingerprint::platform_fingerprints_computed;
+        let svc = MapService::new(ServiceConfig::default());
+        let req = request(5);
+        let (graphs, platforms) = (
+            graph_fingerprints_computed(),
+            platform_fingerprints_computed(),
+        );
+        let cold = svc.map(&req).expect("cold");
+        for _ in 0..3 {
+            let hit = svc.map(&req.clone()).expect("hit");
+            assert!(hit.cache_hit);
+            assert_eq!(hit.cache_key, cold.cache_key);
+        }
+        assert_eq!(graph_fingerprints_computed() - graphs, 1);
+        assert_eq!(platform_fingerprints_computed() - platforms, 1);
+    }
+
+    /// Response keys of fixed requests, recorded before the fingerprints
+    /// were memoized and the cache indexed: the key must never drift.
+    #[test]
+    fn cache_keys_are_pinned() {
+        use crate::batch::EngineConfig;
+        use spmap_graph::gen::{almost_sp_graph, fig2_graph};
+        let mut sp = random_sp_graph(&SpGenConfig::new(24, 3));
+        augment(&mut sp, &AugmentConfig::default(), 3);
+        let mut almost = almost_sp_graph(&SpGenConfig::new(30, 7), 4);
+        augment(&mut almost, &AugmentConfig::default(), 7);
+        let cfg = MapperConfig {
+            engine: EngineConfig {
+                threads: Some(1),
+                ..EngineConfig::default()
+            },
+            ..MapperConfig::sp_first_fit()
+        };
+        let svc = MapService::new(ServiceConfig::default());
+        let cases = [
+            (
+                sp,
+                Platform::reference(),
+                0xa929cfcadc29eef3a5d46792cf81a430_u128,
+            ),
+            (
+                almost,
+                Platform::cpu_gpu(),
+                0xcb98684d87b4e421a441391fc8d1b5a1,
+            ),
+            (
+                fig2_graph(1e6),
+                Platform::cpu_only(),
+                0x60cf7e83e681b00c49aa26634cd2235e,
+            ),
+        ];
+        for (i, (g, p, key)) in cases.into_iter().enumerate() {
+            let req = MapRequest::from_mapper_config(Arc::new(g), Arc::new(p), &cfg);
+            assert_eq!(svc.map(&req).expect("maps").cache_key, key, "case {i}");
+        }
+    }
 }

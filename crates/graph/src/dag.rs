@@ -7,6 +7,7 @@
 //! its innermost loop.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a task node inside a [`TaskGraph`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -136,13 +137,17 @@ impl std::error::Error for GraphError {}
 ///
 /// Construct via [`GraphBuilder`].  Node and edge ids are dense and stable;
 /// adjacency is exposed as edge-id slices plus convenience neighbor
-/// iterators.
+/// iterators.  The one piece of interior state is the memo of the
+/// content [`fingerprint`](TaskGraph::fingerprint): filled on first use
+/// and cleared by every `&mut` method, so it never outlives the content
+/// it was hashed from.
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
     edges: Vec<Edge>,
     out_adj: Vec<Vec<EdgeId>>,
     in_adj: Vec<Vec<EdgeId>>,
+    fingerprint: OnceLock<u128>,
 }
 
 impl TaskGraph {
@@ -177,6 +182,7 @@ impl TaskGraph {
     /// Mutable access to the task stored at `n` (used by augmentation).
     #[inline]
     pub fn task_mut(&mut self, n: NodeId) -> &mut Task {
+        self.fingerprint.take();
         &mut self.tasks[n.index()]
     }
 
@@ -189,6 +195,7 @@ impl TaskGraph {
     /// Mutable access to the data volume of edge `e`.
     #[inline]
     pub fn edge_bytes_mut(&mut self, e: EdgeId) -> &mut f64 {
+        self.fingerprint.take();
         &mut self.edges[e.index()].bytes
     }
 
@@ -274,11 +281,13 @@ impl TaskGraph {
             edges: self.edges.clone(),
             out_adj: self.out_adj.clone(),
             in_adj: self.in_adj.clone(),
+            fingerprint: OnceLock::new(),
         }
     }
 
     /// Append a task with no edges, returning its id.
     pub(crate) fn push_task(&mut self, task: Task) -> NodeId {
+        self.fingerprint.take();
         let id = NodeId(self.tasks.len() as u32);
         self.tasks.push(task);
         self.out_adj.push(Vec::new());
@@ -290,6 +299,7 @@ impl TaskGraph {
     /// lists in edge-id order as [`GraphBuilder::build`] lays them out.
     /// The caller guarantees the edge closes no cycle.
     pub(crate) fn push_edge(&mut self, u: NodeId, v: NodeId, bytes: f64) {
+        self.fingerprint.take();
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge {
             src: u,
@@ -298,6 +308,17 @@ impl TaskGraph {
         });
         self.out_adj[u.index()].push(id);
         self.in_adj[v.index()].push(id);
+    }
+
+    /// The graph's 128-bit content fingerprint: node and edge counts,
+    /// every task's model attributes (in node-id order) and every edge's
+    /// `(src, dst, bytes)` (in edge-id order); task names are excluded.
+    /// Hashed on first use (`O(V + E)`) and memoized until the next
+    /// `&mut` access, so repeat calls cost `O(1)`.
+    pub fn fingerprint(&self) -> u128 {
+        *self
+            .fingerprint
+            .get_or_init(|| crate::fingerprint::hash_graph(self))
     }
 
     /// Decompose back into a builder, e.g. to add edges to an existing graph.
@@ -453,6 +474,7 @@ impl GraphBuilder {
             edges,
             out_adj,
             in_adj,
+            fingerprint: OnceLock::new(),
         };
         if crate::ops::topo_order(&g).is_none() {
             return Err(GraphError::Cycle);

@@ -17,7 +17,9 @@
 //!   area proportional to complexity, constant inter-task data flow),
 //! * [`dist`] — minimal Box-Muller normal/lognormal sampling so that no
 //!   dependency beyond `rand` is needed,
-//! * [`dot`] — Graphviz export for examples and debugging.
+//! * [`dot`] — Graphviz export for examples and debugging,
+//! * [`fingerprint`] — the order-sensitive [`ContentHash`] and the
+//!   memoized content fingerprint of a [`TaskGraph`].
 //!
 //! The graph type is deliberately *not* generic: tasks in this project
 //! always carry the model attributes of the paper's platform model, and a
@@ -28,9 +30,11 @@ pub mod augment;
 pub mod dag;
 pub mod dist;
 pub mod dot;
+pub mod fingerprint;
 pub mod gen;
 pub mod ops;
 
 pub use augment::{augment, AugmentConfig};
 pub use dag::{Edge, EdgeId, GraphBuilder, GraphError, NodeId, Task, TaskGraph};
+pub use fingerprint::ContentHash;
 pub use gen::{almost_sp_graph, random_sp_graph, SpGenConfig};

@@ -19,7 +19,26 @@
 //! With 128-bit codes the collision probability across the few hundred
 //! thousand distinct mappings of a mapper run is ≈ `k²/2^129` —
 //! negligible even for the equivalence guarantees the engine makes.
+//!
+//! ## Content fingerprints and their memos
+//!
+//! [`graph_fingerprint`] and [`platform_fingerprint`] hash the content
+//! of a graph or platform ([`ContentHash`]) and key the response cache,
+//! sessions and evaluation artifacts.  Both values memoize their
+//! fingerprint in a private `OnceLock<u128>`: the first call hashes the
+//! whole value (`O(V + E)` for a graph, `O(devices²)` for a platform),
+//! every later call on the same value — or on a clone of it, which
+//! carries the memo — is one load.  Every `&mut` method of
+//! [`TaskGraph`] (`task_mut`, `edge_bytes_mut` and the crate-internal
+//! `push_task` / `push_edge`) and of [`Platform`] (`set_link`,
+//! `device_mut`) clears the memo before it hands out access, and every
+//! constructor starts it empty, so a memoized fingerprint always equals
+//! a fresh hash of the current content.
 
+use std::cell::Cell;
+
+use spmap_graph::fingerprint::mix64;
+pub use spmap_graph::ContentHash;
 use spmap_graph::{NodeId, TaskGraph};
 
 use crate::mapping::Mapping;
@@ -39,65 +58,6 @@ pub fn assignment_code(v: NodeId, d: DeviceId) -> u128 {
     ((hi as u128) << 64) | lo as u128
 }
 
-/// SplitMix64 finalizer: a high-quality 64-bit mix.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// An order-sensitive 128-bit content hash, built by absorbing one
-/// 64-bit word at a time.  Unlike the XOR-of-codes Zobrist scheme above
-/// (whose order-freeness is the point for *mappings*), structural
-/// content — task attributes, edge lists, link tables — is
-/// position-dependent, so each word is chained through both lanes.
-/// Not cryptographic; used for cache keys, where a collision costs a
-/// wrong-but-deterministic reuse, with the same ≈ `k²/2^129` birthday
-/// bound as the mapping memo.
-pub struct ContentHash {
-    lo: u64,
-    hi: u64,
-}
-
-impl ContentHash {
-    /// A fresh hash in its own `domain`, so hashes of different kinds
-    /// of content never share a starting state.
-    pub fn new(domain: u64) -> Self {
-        Self {
-            lo: mix64(domain ^ 0x9E37_79B9_7F4A_7C15),
-            hi: mix64(domain ^ 0xD1B5_4A32_D192_ED03),
-        }
-    }
-
-    /// Chain one 64-bit word.
-    #[inline]
-    pub fn absorb(&mut self, word: u64) {
-        self.lo = mix64(self.lo ^ word);
-        self.hi = mix64(self.hi.wrapping_add(mix64(word ^ 0xA076_1D64_78BD_642F)));
-    }
-
-    /// Chain the bit pattern of `x`.
-    #[inline]
-    pub fn absorb_f64(&mut self, x: f64) {
-        // Bit pattern, not value: `-0.0` ≠ `0.0` and every NaN payload
-        // is distinct.  Conservative — distinct bits never collapse.
-        self.absorb(x.to_bits());
-    }
-
-    /// Chain both halves of a 128-bit value (another fingerprint).
-    #[inline]
-    pub fn absorb_u128(&mut self, x: u128) {
-        self.absorb(x as u64);
-        self.absorb((x >> 64) as u64);
-    }
-
-    /// The 128-bit hash of everything absorbed so far.
-    pub fn finish(self) -> u128 {
-        ((self.hi as u128) << 64) | self.lo as u128
-    }
-}
-
 /// A 128-bit content fingerprint of a task graph: node count plus every
 /// task's model attributes (in node-id order) and every edge's
 /// `(src, dst, bytes)` (in edge-id order).
@@ -107,25 +67,10 @@ impl ContentHash {
 /// evaluator), and the edge order is included because it is semantic:
 /// the FPGA streaming grant goes to the first same-device out-edge.
 /// Two graphs with equal fingerprints are therefore interchangeable for
-/// table construction and makespan evaluation.
+/// table construction and makespan evaluation.  Memoized in the graph
+/// ([`TaskGraph::fingerprint`]; see the module docs).
 pub fn graph_fingerprint(graph: &TaskGraph) -> u128 {
-    let mut h = ContentHash::new(0x0067_7261_7068_u64); // "graph"
-    h.absorb(graph.node_count() as u64);
-    h.absorb(graph.edge_count() as u64);
-    for v in graph.nodes() {
-        let t = graph.task(v);
-        h.absorb_f64(t.complexity);
-        h.absorb_f64(t.data_points);
-        h.absorb_f64(t.parallelizability);
-        h.absorb_f64(t.streamability);
-        h.absorb_f64(t.area);
-    }
-    for e in graph.edges() {
-        h.absorb(e.src.0 as u64);
-        h.absorb(e.dst.0 as u64);
-        h.absorb_f64(e.bytes);
-    }
-    h.finish()
+    graph.fingerprint()
 }
 
 /// A 128-bit content fingerprint of a platform: device count, every
@@ -133,8 +78,27 @@ pub fn graph_fingerprint(graph: &TaskGraph) -> u128 {
 /// device, and the full directed link table.
 ///
 /// Like [`graph_fingerprint`], this covers exactly what the evaluator
-/// reads; device *names* are excluded.
+/// reads; device *names* are excluded.  Memoized in the platform (see
+/// the module docs).
 pub fn platform_fingerprint(platform: &Platform) -> u128 {
+    platform.fingerprint()
+}
+
+thread_local! {
+    static PLATFORMS_COMPUTED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many platform fingerprints this thread has hashed from scratch,
+/// as opposed to read from a memo.  Tests use it to show that repeat
+/// requests hash nothing.
+#[doc(hidden)]
+pub fn platform_fingerprints_computed() -> u64 {
+    PLATFORMS_COMPUTED.with(Cell::get)
+}
+
+/// Hash `platform`'s content (see [`platform_fingerprint`]).
+pub(crate) fn hash_platform(platform: &Platform) -> u128 {
+    PLATFORMS_COMPUTED.with(|c| c.set(c.get() + 1));
     let mut h = ContentHash::new(0x706c_6174u64); // "plat"
     h.absorb(platform.device_count() as u64);
     h.absorb(platform.default_device().0 as u64);
@@ -315,6 +279,104 @@ mod tests {
         );
         assert_ne!(reference, platform_fingerprint(&Platform::cpu_only()));
         assert_ne!(reference, platform_fingerprint(&Platform::cpu_gpu()));
+    }
+
+    #[test]
+    fn platform_mutations_clear_the_memo() {
+        use crate::platform::Link;
+        type Mutation = fn(&mut Platform);
+        let cases: [(&str, Mutation); 2] = [
+            ("set_link", |p| {
+                let slow = Link {
+                    bandwidth: 1e9,
+                    latency: 1e-3,
+                };
+                p.set_link(DeviceId(0), DeviceId(1), slow);
+            }),
+            ("device_mut", |p| {
+                if let DeviceSpec::Cpu { cores, .. } = &mut p.device_mut(DeviceId(0)).spec {
+                    *cores = 8.0;
+                }
+            }),
+        ];
+        for (name, mutate) in cases {
+            // Mutated before any fingerprint exists: nothing to go stale.
+            let mut fresh = Platform::reference();
+            mutate(&mut fresh);
+            let mut p = Platform::reference();
+            let before = platform_fingerprint(&p);
+            mutate(&mut p);
+            let after = platform_fingerprint(&p);
+            assert_ne!(after, before, "{name} left a stale fingerprint");
+            assert_eq!(
+                after,
+                platform_fingerprint(&fresh),
+                "{name} vs a fresh build"
+            );
+            assert_eq!(after, hash_platform(&p), "{name} vs a fresh hash");
+        }
+        let p = Platform::reference();
+        let start = platform_fingerprints_computed();
+        let fp = platform_fingerprint(&p);
+        assert_eq!(
+            platform_fingerprint(&p.clone()),
+            fp,
+            "a clone keeps the memo"
+        );
+        assert_eq!(platform_fingerprints_computed() - start, 1);
+    }
+
+    /// Fingerprints and artifact keys of fixed inputs, recorded before
+    /// the fingerprints were memoized: the key functions must never
+    /// drift, or every persisted or compared key silently changes.
+    #[test]
+    fn fingerprints_and_artifact_keys_are_pinned() {
+        use crate::artifact::artifact_key;
+        use crate::Numbering;
+        use spmap_graph::gen::{almost_sp_graph, fig2_graph, random_sp_graph, SpGenConfig};
+        use spmap_graph::{augment, AugmentConfig};
+        let mut sp = random_sp_graph(&SpGenConfig::new(24, 3));
+        augment(&mut sp, &AugmentConfig::default(), 3);
+        let mut almost = almost_sp_graph(&SpGenConfig::new(30, 7), 4);
+        augment(&mut almost, &AugmentConfig::default(), 7);
+        let cases = [
+            (
+                sp,
+                Platform::reference(),
+                [
+                    0x8f072398f022e69e66d6c02693d9810f_u128,
+                    0x5a240496dce0f4498e5a7f29071f223e,
+                    0xaa92ccddbb01a5d9e74bf285ac7eae2f,
+                    0xaa92ccddbb01a5d9e74bf285ac7eadbc,
+                ],
+            ),
+            (
+                almost,
+                Platform::cpu_gpu(),
+                [
+                    0x00a2ff9293d7c282d909760a52137cc7,
+                    0xb72e99107534c78730e545a3a4de6304,
+                    0xb3ef7d72f02a80269332031124b4dadf,
+                    0xb3ef7d72f02a80269332031124b4da6c,
+                ],
+            ),
+            (
+                fig2_graph(1e6),
+                Platform::cpu_only(),
+                [
+                    0x2f3d6ae030a0f928274ab238f6132323,
+                    0x2b1ca9c8fa831f9e5ff1db110aaa93b4,
+                    0xa0f91f3ee5a910ddf8170dcd5d87d94b,
+                    0xa0f91f3ee5a910ddf8170dcd5d87d8d8,
+                ],
+            ),
+        ];
+        for (i, (g, p, [gf, pf, pop, id])) in cases.into_iter().enumerate() {
+            assert_eq!(graph_fingerprint(&g), gf, "case {i} graph");
+            assert_eq!(platform_fingerprint(&p), pf, "case {i} platform");
+            assert_eq!(artifact_key(&g, &p, Numbering::PopOrder), pop, "case {i}");
+            assert_eq!(artifact_key(&g, &p, Numbering::Identity), id, "case {i}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!   co-located task chains, at the price of a finite area budget.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a device inside a [`Platform`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -132,6 +133,10 @@ impl Link {
 }
 
 /// A heterogeneous platform: devices plus a full link matrix.
+///
+/// Like [`spmap_graph::TaskGraph`], a platform memoizes its content
+/// fingerprint ([`crate::platform_fingerprint`]); `set_link` and
+/// `device_mut` clear the memo.
 #[derive(Clone, Debug)]
 pub struct Platform {
     devices: Vec<Device>,
@@ -141,6 +146,8 @@ pub struct Platform {
     /// The device that hosts the initial all-default mapping (the CPU in
     /// the paper).
     default_device: DeviceId,
+    /// Memo of the content fingerprint; empty until first asked for.
+    fingerprint: OnceLock<u128>,
 }
 
 impl Platform {
@@ -164,11 +171,20 @@ impl Platform {
             devices,
             links,
             default_device,
+            fingerprint: OnceLock::new(),
         }
+    }
+
+    /// The memoized content fingerprint (see [`crate::fingerprint`]).
+    pub(crate) fn fingerprint(&self) -> u128 {
+        *self
+            .fingerprint
+            .get_or_init(|| crate::fingerprint::hash_platform(self))
     }
 
     /// Set both directions of the link between `a` and `b`.
     pub fn set_link(&mut self, a: DeviceId, b: DeviceId, link: Link) {
+        self.fingerprint.take();
         self.links[a.index()][b.index()] = link;
         self.links[b.index()][a.index()] = link;
     }
@@ -194,6 +210,7 @@ impl Platform {
     /// variants in experiments and ablations).
     #[inline]
     pub fn device_mut(&mut self, d: DeviceId) -> &mut Device {
+        self.fingerprint.take();
         &mut self.devices[d.index()]
     }
 
@@ -327,6 +344,7 @@ impl Platform {
     /// HEFT family was designed for.
     pub fn cpu_gpu() -> Self {
         let mut p = Platform::reference();
+        p.fingerprint.take();
         p.devices.truncate(2);
         p.links.truncate(2);
         for row in &mut p.links {
