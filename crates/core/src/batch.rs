@@ -316,12 +316,7 @@ impl EngineConfig {
 pub(crate) fn resolve_threads(threads: Option<usize>) -> usize {
     match threads {
         Some(n) => n.max(1),
-        None => {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            spmap_par::num_threads().clamp(1, cores)
-        }
+        None => spmap_par::num_threads().clamp(1, spmap_par::machine_parallelism()),
     }
 }
 
@@ -434,6 +429,9 @@ struct Pending {
     /// Position in the caller's op slice (for writing the delta back).
     slot: usize,
     op: OpId,
+    /// The op's subgraph index and device, split once by `evaluate_ops`.
+    sub: usize,
+    dev: DeviceId,
     fp: u128,
     /// Upper bound on the achievable improvement (`+inf` when pruning is
     /// off).
@@ -862,6 +860,14 @@ impl<'g> CandidateBatch<'g> {
             .sum()
     }
 
+    /// Schedule positions stepped so far (all workers).
+    pub fn positions(&self) -> u64 {
+        self.workers
+            .iter()
+            .map(|w| w.scratch.stats().positions)
+            .sum()
+    }
+
     /// Evaluate the improvement delta of every operation in `ops`
     /// against the current makespan, in one batch.
     ///
@@ -898,8 +904,10 @@ impl<'g> CandidateBatch<'g> {
         // may prune, so ties always go to simulation and the
         // lowest-index winner is preserved.
         let mut incumbent = f64::NEG_INFINITY;
+        let m = self.devices.len();
         for (slot, &op) in ops.iter().enumerate() {
-            match self.classify(op, prune) {
+            let (sub, dev) = (op / m, self.devices[op % m]);
+            match self.classify(sub, dev, prune) {
                 Verdict::Trivial => {
                     self.stats.trivial += 1;
                     if prune {
@@ -926,6 +934,8 @@ impl<'g> CandidateBatch<'g> {
                     pending.push(Pending {
                         slot,
                         op,
+                        sub,
+                        dev,
                         fp,
                         bound,
                         expected: self.expected[op],
@@ -1045,12 +1055,11 @@ impl<'g> CandidateBatch<'g> {
         self.memoize_base();
     }
 
-    /// Classify one candidate without simulating it.
-    fn classify(&mut self, op: OpId, prune: bool) -> Verdict {
-        let m = self.devices.len();
+    /// Classify one candidate, subgraph `sub` moved to device `d`,
+    /// without simulating it.
+    fn classify(&mut self, sub: usize, d: DeviceId, prune: bool) -> Verdict {
         let dm = self.tables.device_count();
-        let d = self.devices[op % m];
-        let sub = &self.subgraphs[op / m];
+        let sub = &self.subgraphs[sub];
         // Mark the changed region and fold its effects in one pass.
         self.mark_gen += 1;
         let mark_gen = self.mark_gen;
@@ -1290,9 +1299,7 @@ impl<'g> CandidateBatch<'g> {
         let checkpoints = &self.checkpoints;
         let base = &self.mapping;
         let generation = self.generation;
-        let m = self.devices.len();
         let subgraphs = &self.subgraphs;
-        let devices = &self.devices;
         let bank = self.cfg.memo && self.schedules.len() > 1;
         par_map_with_threads(self.threads, &mut self.workers, chunk, out, |w, _, p| {
             // Fires *inside* a pool worker when threads ≥ 2, so an
@@ -1301,9 +1308,8 @@ impl<'g> CandidateBatch<'g> {
             // before the service boundary contains it.
             crate::faults::fault_point(crate::faults::FaultSite::PoolBatch);
             w.sync(tables, base, generation);
-            let d = devices[p.op % m];
-            for &v in &subgraphs[p.op / m] {
-                w.apply(tables, v, d);
+            for &v in &subgraphs[p.sub] {
+                w.apply(tables, v, p.dev);
             }
             let sim = sweep_candidate(tables, schedules, checkpoints, w, p, cutoff, bank);
             w.revert(tables);
@@ -1709,7 +1715,8 @@ mod tests {
             // builds on entry; this test calls it directly.
             eng.ensure_prune_aggregates();
             for (op, &true_delta) in reference.iter().enumerate().take(eng.op_count()) {
-                let verdict = eng.classify(op, true);
+                let m = eng.devices.len();
+                let verdict = eng.classify(op / m, eng.devices[op % m], true);
                 if let Verdict::Simulate { bound, .. } = verdict {
                     if true_delta != f64::NEG_INFINITY {
                         assert!(

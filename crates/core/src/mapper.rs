@@ -225,6 +225,11 @@ pub struct MapperResult {
     pub iterations: usize,
     /// Number of full model evaluations performed.
     pub evaluations: u64,
+    /// Schedule positions stepped by those evaluations, summed over the
+    /// worker scratches like `evaluations`: `n` per complete simulation,
+    /// only the replayed suffix per windowed one (up to the cutoff when
+    /// a window aborts).
+    pub positions: u64,
     /// Size of the candidate subgraph set.
     pub subgraph_count: usize,
     /// Makespan after each applied iteration (strictly decreasing).
@@ -354,6 +359,7 @@ pub(crate) fn drive_search(
         cpu_only_makespan: cpu_only,
         iterations,
         evaluations: engine.evaluations(),
+        positions: engine.positions(),
         subgraph_count: engine.subgraphs().len(),
         history,
         batch: engine.stats(),
@@ -449,6 +455,7 @@ pub fn try_decomposition_map_reference(
         cpu_only_makespan: cpu_only,
         iterations,
         evaluations: ctx.evaluator.stats().evaluations,
+        positions: ctx.evaluator.stats().positions,
         subgraph_count,
         history,
         batch: BatchStats::default(),

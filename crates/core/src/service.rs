@@ -923,6 +923,20 @@ mod tests {
         assert_eq!(platform_fingerprints_computed() - platforms, 1);
     }
 
+    /// A request that leaves the engine's thread count unset resolves it
+    /// against the machine's parallelism, which the process reads once.
+    #[test]
+    fn hits_with_threads_unset_read_the_machine_parallelism_once() {
+        let svc = MapService::new(ServiceConfig::default());
+        let req = request(5);
+        assert_eq!(req.limits.engine.threads, None);
+        svc.map(&req).expect("cold");
+        for _ in 0..1000 {
+            assert!(svc.map(&req).expect("hit").cache_hit);
+        }
+        assert!(spmap_par::machine_parallelism_reads() <= 1);
+    }
+
     /// Response keys of fixed requests, recorded before the fingerprints
     /// were memoized and the cache indexed: the key must never drift.
     #[test]

@@ -176,14 +176,31 @@ pub struct EvalTables<'g> {
     /// Cached `task.area` per node (external numbering — area accounting
     /// walks `Mapping::as_slice`).
     area: Vec<f64>,
-    /// Per-device flags/parameters, indexed by device.
-    is_fpga: Vec<bool>,
-    fill: Vec<f64>,
-    area_cap: Vec<f64>,
+    /// Device count `m` (at most [`MAX_DEVICES`]).
+    m: usize,
+    /// Per-device flags/parameters, indexed by device; slots `>= m` are
+    /// unused.  Fixed-size, so the kernel's masked device ids index them
+    /// without bounds checks.
+    is_fpga: [bool; MAX_DEVICES],
+    fill: [f64; MAX_DEVICES],
+    area_cap: [f64; MAX_DEVICES],
     /// Flattened link parameters: `link_lat[from * m + to]`, same for bw.
-    link_lat: Vec<f64>,
-    link_bw: Vec<f64>,
+    /// The diagonal and the unused tail hold latency 0 and bandwidth +∞.
+    link_lat: [f64; MAX_LINKS],
+    link_bw: [f64; MAX_LINKS],
     any_fpga: bool,
+}
+
+/// Largest platform the evaluator supports (asserted at table build).
+const MAX_DEVICES: usize = 8;
+/// Directed-link slots of a [`MAX_DEVICES`] platform.
+const MAX_LINKS: usize = MAX_DEVICES * MAX_DEVICES;
+
+/// The kernel's array slot of device `d`: the id itself for every valid
+/// id (`d < m <= 8`); the mask lets the compiler drop bounds checks.
+#[inline(always)]
+fn dev_slot(d: DeviceId) -> usize {
+    d.index() & (MAX_DEVICES - 1)
 }
 
 impl<'g> EvalTables<'g> {
@@ -211,7 +228,7 @@ impl<'g> EvalTables<'g> {
         // device counts.  Fail loudly at construction instead of deep
         // inside a simulation.
         assert!(
-            m <= 8,
+            m <= MAX_DEVICES,
             "platforms are limited to 8 devices (got {m}); widen the fixed-size \
              buffers in spmap-model/src/eval.rs and spmap-core/src/batch.rs to lift this"
         );
@@ -266,8 +283,8 @@ impl<'g> EvalTables<'g> {
             }
             out_start.push(out_dst.len() as u32);
         }
-        let mut link_lat = vec![0.0; m * m];
-        let mut link_bw = vec![f64::INFINITY; m * m];
+        let mut link_lat = [0.0; MAX_LINKS];
+        let mut link_bw = [f64::INFINITY; MAX_LINKS];
         for from in platform.device_ids() {
             for to in platform.device_ids() {
                 if from != to {
@@ -277,7 +294,14 @@ impl<'g> EvalTables<'g> {
                 }
             }
         }
-        let is_fpga: Vec<bool> = platform.device_ids().map(|d| platform.is_fpga(d)).collect();
+        let mut is_fpga = [false; MAX_DEVICES];
+        let mut fill = [0.0; MAX_DEVICES];
+        let mut area_cap = [0.0; MAX_DEVICES];
+        for d in platform.device_ids() {
+            is_fpga[d.index()] = platform.is_fpga(d);
+            fill[d.index()] = platform.fill_fraction(d);
+            area_cap[d.index()] = platform.device(d).area_capacity();
+        }
         let mut min_span = Vec::with_capacity(n);
         for v in graph.nodes() {
             let mut best = f64::INFINITY;
@@ -333,14 +357,9 @@ impl<'g> EvalTables<'g> {
             ext_of,
             area: graph.nodes().map(|v| graph.task(v).area).collect(),
             any_fpga: is_fpga.iter().any(|&f| f),
-            fill: platform
-                .device_ids()
-                .map(|d| platform.fill_fraction(d))
-                .collect(),
-            area_cap: platform
-                .device_ids()
-                .map(|d| platform.device(d).area_capacity())
-                .collect(),
+            m,
+            fill,
+            area_cap,
             is_fpga,
             link_lat,
             link_bw,
@@ -370,7 +389,7 @@ impl<'g> EvalTables<'g> {
     /// Number of devices.
     #[inline]
     pub fn device_count(&self) -> usize {
-        self.is_fpga.len()
+        self.m
     }
 
     /// Tabulated execution time of task `n` on device `d`.
@@ -575,24 +594,13 @@ impl<'g> EvalTables<'g> {
         debug_assert_eq!(mapping.len(), n);
         debug_assert_eq!(ranks.len(), n);
         debug_assert_eq!(scratch.indeg.len(), n, "scratch sized for this graph");
-        debug_assert_eq!(
-            scratch.device_free.len(),
-            m,
-            "scratch sized for this platform"
-        );
         scratch.stats.evaluations += 1;
         if !self.area_feasible(mapping) {
             return None;
         }
         scratch.stats.positions += n as u64;
-        // Reset scratch.
+        scratch.reset_times();
         scratch.indeg.copy_from_slice(&self.indeg_init);
-        scratch.data_ready.iter_mut().for_each(|t| *t = 0.0);
-        scratch.start.iter_mut().for_each(|t| *t = 0.0);
-        scratch.finish.iter_mut().for_each(|t| *t = 0.0);
-        scratch.stream_input.iter_mut().for_each(|s| *s = false);
-        scratch.device_free.iter_mut().for_each(|t| *t = 0.0);
-        scratch.link_free.iter_mut().for_each(|t| *t = 0.0);
         scratch.heap.clear();
         // The ready heap stays keyed on *external* `(rank, id)` — the
         // pop sequence (and thus every bit of the result) is a function
@@ -615,7 +623,7 @@ impl<'g> EvalTables<'g> {
             let ev = self.exec[v * m + d.index()];
             let spatial = self.is_fpga[d.index()];
             let start = if spatial {
-                if scratch.stream_input[v] {
+                if scratch.streamed(v) {
                     // Pipeline continuation: runs concurrently with its
                     // producers; the pipeline occupies the device until
                     // its last stage drains.
@@ -653,7 +661,7 @@ impl<'g> EvalTables<'g> {
                         // pipeline fill, but it cannot finish before the
                         // producer (+ its own fill tail).
                         if !stream_granted {
-                            scratch.stream_input[w] = true;
+                            scratch.grant_stream(w);
                             stream_granted = true;
                         }
                         let ew = self.exec[w * m + dw.index()];
@@ -698,6 +706,15 @@ impl<'g> EvalTables<'g> {
     /// so heap-driven, checkpointed and windowed runs agree bit for bit
     /// — for any fixed schedule, not just the breadth-first one.
     ///
+    /// Per-device and per-link parameters sit in fixed-size arrays
+    /// indexed by masked device ids, and the edge loop walks the CSR row
+    /// as slices, so the step pays no bounds checks on them.  The
+    /// data-ready update is a select (it keeps its `>` test, so NaNs
+    /// behave as before).  The same-device / cross-device choice stays
+    /// a branch: computed as a select, every edge paid the transfer's
+    /// division and chained through its link slot in memory, and whole
+    /// requests got slower (docs/PERF.md, "Window kernel").
+    ///
     /// `STORE` writes the task's start/finish times into the scratch.
     /// Only complete runs store them ([`EvalScratch::start_times`]);
     /// windowed replays read neither, so they skip both stores.
@@ -723,37 +740,39 @@ impl<'g> EvalTables<'g> {
              floor {}",
             scratch.read_floor
         );
-        let m = self.device_count();
-        let d = devices[v];
-        let ev = self.exec[v * m + d.index()];
-        let spatial = self.is_fpga[d.index()];
-        let start = if spatial {
-            if scratch.stream_input[v] {
-                scratch.data_ready[v]
-            } else {
-                scratch.device_free[d.index()].max(scratch.data_ready[v])
-            }
+        let m = self.m;
+        let d = dev_slot(devices[v]);
+        let ev = self.exec[v * m + d];
+        let spatial = self.is_fpga[d];
+        let ready_v = scratch.data_ready[v];
+        let free = scratch.device_free[d];
+        // A streamed pipeline continuation starts with its data; every
+        // other task queues on its device.
+        let start = if spatial && scratch.streamed(v) {
+            ready_v
         } else {
-            let s = scratch.device_free[d.index()].max(scratch.data_ready[v]);
-            scratch.device_free[d.index()] = s + ev;
-            s
+            free.max(ready_v)
         };
         let fin = start + ev;
-        if spatial {
-            let free = &mut scratch.device_free[d.index()];
-            *free = free.max(fin);
-        }
+        // A temporal device is busy until `fin`; a pipeline occupies its
+        // FPGA until its last stage drains.
+        scratch.device_free[d] = if spatial { free.max(fin) } else { fin };
         if STORE {
             scratch.start[v] = start;
             scratch.finish[v] = fin;
         }
         *makespan = makespan.max(fin);
-        let fill = self.fill[d.index()];
-        let mut stream_granted = false;
-        let lo = self.out_start[v] as usize;
-        let hi = self.out_start[v + 1] as usize;
-        for k in lo..hi {
-            let w = self.out_dst[k] as usize;
+        let fill = self.fill[d];
+        let row = d * m;
+        // A pipeline extends through one successor only: the first
+        // same-FPGA out-edge.
+        let mut granted = false;
+        let edges = self.out_start[v] as usize..self.out_start[v + 1] as usize;
+        for (&w, &bytes) in self.out_dst[edges.clone()]
+            .iter()
+            .zip(&self.out_bytes[edges])
+        {
+            let w = w as usize;
             #[cfg(feature = "strict-invariants")]
             assert!(
                 w >= scratch.read_floor,
@@ -761,29 +780,29 @@ impl<'g> EvalTables<'g> {
                  restore floor {}",
                 scratch.read_floor
             );
-            let dw = devices[w];
-            let ready = if dw == d {
-                if spatial {
-                    if !stream_granted {
-                        scratch.stream_input[w] = true;
-                        stream_granted = true;
-                    }
-                    let ew = self.exec[w * m + dw.index()];
-                    (start + fill * ev).max(fin - (1.0 - fill) * ew)
-                } else {
-                    fin
+            let dw = dev_slot(devices[w]);
+            let ready = if dw != d {
+                // The transfer occupies the directed link from when both
+                // the data and the link are available.
+                let li = (row + dw) & (MAX_LINKS - 1);
+                let t_start = fin.max(scratch.link_free[li]);
+                let arrival = t_start + (self.link_lat[li] + bytes / self.link_bw[li]);
+                scratch.link_free[li] = arrival;
+                arrival
+            } else if spatial {
+                // Streaming: the consumer's data arrives after the
+                // pipeline fill, but it cannot finish before the
+                // producer (+ its own fill tail).
+                if !granted {
+                    scratch.grant_stream(w);
+                    granted = true;
                 }
+                (start + fill * ev).max(fin - (1.0 - fill) * self.exec[w * m + dw])
             } else {
-                let li = d.index() * m + dw.index();
-                let tr = self.link_lat[li] + self.out_bytes[k] / self.link_bw[li];
-                let link = &mut scratch.link_free[li];
-                let t_start = fin.max(*link);
-                *link = t_start + tr;
-                t_start + tr
+                fin
             };
-            if ready > scratch.data_ready[w] {
-                scratch.data_ready[w] = ready;
-            }
+            let old = scratch.data_ready[w];
+            scratch.data_ready[w] = if ready > old { ready } else { old };
         }
         fin
     }
@@ -1002,10 +1021,14 @@ pub struct EvalScratch {
     data_ready: Vec<f64>,
     start: Vec<f64>,
     finish: Vec<f64>,
-    device_free: Vec<f64>,
+    /// Per device: the next time it is idle (slots `>= m` unused).
+    device_free: [f64; MAX_DEVICES],
     /// `link_free[from * m + to]` — next time the directed link is idle.
-    link_free: Vec<f64>,
-    stream_input: Vec<bool>,
+    link_free: [f64; MAX_LINKS],
+    /// Per-node "streamed pipeline continuation" flags, bit-packed: bit
+    /// `v % 64` of word `v / 64`.  Snapshots record and restore it as
+    /// whole words.
+    stream_words: Vec<u64>,
     /// Gather buffer for the mapping permuted into the tables' internal
     /// numbering (pop-order paths; unused under identity numbering).
     devices: Vec<DeviceId>,
@@ -1021,14 +1044,18 @@ pub struct EvalScratch {
 impl EvalScratch {
     /// A scratch for graphs with `nodes` tasks on `devices` devices.
     pub fn new(nodes: usize, devices: usize) -> Self {
+        assert!(
+            devices <= MAX_DEVICES,
+            "platforms are limited to {MAX_DEVICES} devices (got {devices})"
+        );
         Self {
             indeg: vec![0; nodes],
             data_ready: vec![0.0; nodes],
             start: vec![0.0; nodes],
             finish: vec![0.0; nodes],
-            device_free: vec![0.0; devices],
-            link_free: vec![0.0; devices * devices],
-            stream_input: vec![false; nodes],
+            device_free: [0.0; MAX_DEVICES],
+            link_free: [0.0; MAX_LINKS],
+            stream_words: vec![0; nodes.div_ceil(64)],
             devices: vec![DeviceId(0); nodes],
             heap: BinaryHeap::with_capacity(nodes),
             stats: EvalStats::default(),
@@ -1049,12 +1076,26 @@ impl EvalScratch {
         {
             self.read_floor = 0;
         }
-        self.data_ready.iter_mut().for_each(|t| *t = 0.0);
-        self.start.iter_mut().for_each(|t| *t = 0.0);
-        self.finish.iter_mut().for_each(|t| *t = 0.0);
-        self.stream_input.iter_mut().for_each(|s| *s = false);
-        self.device_free.iter_mut().for_each(|t| *t = 0.0);
-        self.link_free.iter_mut().for_each(|t| *t = 0.0);
+        self.data_ready.fill(0.0);
+        self.start.fill(0.0);
+        self.finish.fill(0.0);
+        self.stream_words.fill(0);
+        self.device_free = [0.0; MAX_DEVICES];
+        self.link_free = [0.0; MAX_LINKS];
+    }
+
+    /// `true` if task `v` (internal index) is a streamed pipeline
+    /// continuation.
+    #[inline(always)]
+    fn streamed(&self, v: usize) -> bool {
+        (self.stream_words[v / 64] >> (v % 64)) & 1 != 0
+    }
+
+    /// Mark task `w` (internal index) as a streamed pipeline
+    /// continuation.
+    #[inline(always)]
+    fn grant_stream(&mut self, w: usize) {
+        self.stream_words[w / 64] |= 1 << (w % 64);
     }
 
     /// Start time per task of the most recent complete evaluation
@@ -1103,8 +1144,9 @@ pub enum WindowSim {
 ///
 /// ## Snapshot layouts
 ///
-/// Per-node state (`data_ready`, packed `stream_input` bits) is stored in
-/// one of two layouts, chosen when the recording run shapes the store:
+/// Per-node state (`data_ready`, the scratch's packed stream words) is
+/// stored in one of two layouts, chosen when the recording run shapes
+/// the store:
 ///
 /// * **dense** — every snapshot holds all `n` entries.  Always sound.
 /// * **suffix-sparse** — snapshot `j` holds only internal indices
@@ -1118,8 +1160,11 @@ pub enum WindowSim {
 ///   and restores become suffix memcpys.
 ///
 /// The `O(m + m²)` device/link state and the running makespan are dense
-/// per snapshot in both layouts.  `stream_input` is bit-packed (1
-/// bit/node instead of 1 byte/node) in both layouts.
+/// per snapshot in both layouts.  The stream flags are kept packed (1
+/// bit/node) in the scratch and the snapshots alike, so both directions
+/// are word copies; a suffix snapshot starts at the word holding its
+/// first node, and the bits below that node in the word are never
+/// read after a restore.
 #[derive(Clone, Debug)]
 pub struct ScheduleCheckpoints {
     every: usize,
@@ -1139,8 +1184,8 @@ pub struct ScheduleCheckpoints {
     data_ready: Vec<f64>,
     device_free: Vec<f64>,
     link_free: Vec<f64>,
-    /// Bit-packed `stream_input`: bit `k` of snapshot `j`'s words is
-    /// node `lo_j + k` (`lo_j` = the snapshot's first stored index).
+    /// The scratch's stream words: snapshot `j` holds words
+    /// `lo_j / 64 ..` (`lo_j` = the snapshot's first stored index).
     stream_words: Vec<u64>,
     makespan: Vec<f64>,
 }
@@ -1299,7 +1344,7 @@ impl ScheduleCheckpoints {
                 0
             };
             dr += n - lo;
-            w += (n - lo).div_ceil(64);
+            w += n.div_ceil(64) - lo / 64;
             self.off.push(dr);
             self.woff.push(w);
         }
@@ -1331,12 +1376,10 @@ impl ScheduleCheckpoints {
             scratch.read_floor
         );
         self.data_ready[self.off[j]..self.off[j + 1]].copy_from_slice(&scratch.data_ready[lo..]);
-        self.device_free[j * m..(j + 1) * m].copy_from_slice(&scratch.device_free);
-        self.link_free[j * m * m..(j + 1) * m * m].copy_from_slice(&scratch.link_free);
-        pack_bits(
-            &scratch.stream_input[lo..],
-            &mut self.stream_words[self.woff[j]..self.woff[j + 1]],
-        );
+        self.device_free[j * m..(j + 1) * m].copy_from_slice(&scratch.device_free[..m]);
+        self.link_free[j * m * m..(j + 1) * m * m].copy_from_slice(&scratch.link_free[..m * m]);
+        self.stream_words[self.woff[j]..self.woff[j + 1]]
+            .copy_from_slice(&scratch.stream_words[lo / 64..]);
         self.makespan[j] = makespan;
     }
 
@@ -1364,42 +1407,11 @@ impl ScheduleCheckpoints {
             scratch.read_floor = if self.suffix { lo } else { 0 };
         }
         scratch.data_ready[lo..].copy_from_slice(&self.data_ready[self.off[j]..self.off[j + 1]]);
-        scratch
-            .device_free
-            .copy_from_slice(&self.device_free[j * m..(j + 1) * m]);
-        scratch
-            .link_free
-            .copy_from_slice(&self.link_free[j * m * m..(j + 1) * m * m]);
-        unpack_bits(
-            &self.stream_words[self.woff[j]..self.woff[j + 1]],
-            &mut scratch.stream_input[lo..],
-        );
+        scratch.device_free[..m].copy_from_slice(&self.device_free[j * m..(j + 1) * m]);
+        scratch.link_free[..m * m].copy_from_slice(&self.link_free[j * m * m..(j + 1) * m * m]);
+        scratch.stream_words[lo / 64..]
+            .copy_from_slice(&self.stream_words[self.woff[j]..self.woff[j + 1]]);
         j * self.every
-    }
-}
-
-/// Pack `bools` into `words` little-endian (bit `k` of `words[k / 64]`
-/// is `bools[k]`); trailing bits of the last word are zero.
-#[inline]
-fn pack_bits(bools: &[bool], words: &mut [u64]) {
-    debug_assert_eq!(words.len(), bools.len().div_ceil(64));
-    for (word, chunk) in words.iter_mut().zip(bools.chunks(64)) {
-        let mut w = 0u64;
-        for (b, &set) in chunk.iter().enumerate() {
-            w |= (set as u64) << b;
-        }
-        *word = w;
-    }
-}
-
-/// Inverse of [`pack_bits`].
-#[inline]
-fn unpack_bits(words: &[u64], bools: &mut [bool]) {
-    debug_assert_eq!(words.len(), bools.len().div_ceil(64));
-    for (&w, chunk) in words.iter().zip(bools.chunks_mut(64)) {
-        for (b, slot) in chunk.iter_mut().enumerate() {
-            *slot = (w >> b) & 1 != 0;
-        }
     }
 }
 
@@ -1895,6 +1907,102 @@ mod tests {
         }
     }
 
+    /// The graphs the window bit-identity test replays: seeded SP,
+    /// almost-SP, layered and two workflow graphs of 20–150 tasks, plus
+    /// copies of one with an infinite and a NaN task or edge attribute.
+    fn window_corpus() -> Vec<(&'static str, TaskGraph)> {
+        use spmap_graph::gen::{almost_sp_graph, layered_random, LayeredConfig};
+        use spmap_workflows::Family;
+        let augmented = |mut g: TaskGraph, seed: u64| {
+            augment(&mut g, &AugmentConfig::default(), seed);
+            g
+        };
+        let layered = augmented(
+            layered_random(&LayeredConfig {
+                layers: 9,
+                width: 8,
+                density: 0.3,
+                seed: 23,
+                edge_bytes: 50e6,
+            }),
+            23,
+        );
+        let sp = augmented(random_sp_graph(&SpGenConfig::new(45, 17)), 17);
+        let mut inf_task = sp.clone();
+        inf_task.task_mut(NodeId(7)).complexity = f64::INFINITY;
+        let mut inf_edge = sp.clone();
+        let e = inf_edge.edge_ids().nth(5).expect("edge");
+        *inf_edge.edge_bytes_mut(e) = f64::INFINITY;
+        let mut nan_task = sp.clone();
+        nan_task.task_mut(NodeId(11)).complexity = f64::NAN;
+        vec![
+            ("sp45", sp),
+            (
+                "sp150",
+                augmented(random_sp_graph(&SpGenConfig::new(150, 4)), 4),
+            ),
+            (
+                "asp90",
+                augmented(almost_sp_graph(&SpGenConfig::new(90, 8), 12), 8),
+            ),
+            ("layered", layered),
+            ("montage", Family::Montage.generate(60, 3)),
+            ("epigenomics", Family::Epigenomics.generate(40, 5)),
+            ("sp45-inf-task", inf_task),
+            ("sp45-inf-edge", inf_edge),
+            ("sp45-nan-task", nan_task),
+        ]
+    }
+
+    /// A seeded base mapping over CPU, GPU and FPGA with streaming
+    /// chains: every node draws a device, and a few random paths are
+    /// laid onto the FPGA whole, so same-FPGA edges stream.  FPGA tasks
+    /// go back to the CPU, highest id first, until the FPGA area fits.
+    fn window_base(tables: &EvalTables<'_>, seed: u64) -> Mapping {
+        let g = tables.graph();
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |k: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % k
+        };
+        let mut mapping = Mapping::from_vec(
+            (0..g.node_count())
+                .map(|_| match next(8) {
+                    0..=3 => CPU,
+                    4..=5 => GPU,
+                    _ => FPGA,
+                })
+                .collect(),
+        );
+        for _ in 0..3 {
+            let mut v = NodeId(next(g.node_count() as u64) as u32);
+            for _ in 0..4 {
+                mapping.set(v, FPGA);
+                let succ: Vec<NodeId> = g.successors(v).collect();
+                if succ.is_empty() {
+                    break;
+                }
+                v = succ[next(succ.len() as u64) as usize];
+            }
+        }
+        for v in (0..g.node_count() as u32).rev().map(NodeId) {
+            if tables.area_feasible(&mapping) {
+                break;
+            }
+            if mapping.device(v) == FPGA {
+                mapping.set(v, CPU);
+            }
+        }
+        mapping
+    }
+
+    /// `true` when `a` and `b` are the same bits, or both NaN.
+    fn same_result(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
     #[test]
     fn order_checkpointed_and_window_match_heap_run_on_any_schedule() {
         // The windowed-re-simulation argument for arbitrary fixed orders:
@@ -1955,6 +2063,101 @@ mod tests {
                 );
             }
             candidate.set(v, CPU);
+        }
+        // The same argument over the wider matrix: seeded SP, almost-SP,
+        // layered and workflow graphs, random CPU/GPU/FPGA bases with
+        // streaming chains, single-node and subgraph moves, both
+        // numberings, dense and suffix snapshots, and infinite or NaN
+        // attributes.  A completed window must have the full run's bits
+        // (or be NaN like it).  The abort test `finish + up_min >
+        // cutoff` rounds on its own: on this matrix it can abort an
+        // exact tie by one ulp, so here a cutoff only has to be at or
+        // below the full run.
+        let p = ref_platform();
+        for (label, g) in window_corpus() {
+            let n = g.node_count();
+            let schedules = ReportSchedules::new(&g, 2, 99);
+            for numbering in [Numbering::Identity, Numbering::PopOrder] {
+                let tables = EvalTables::with_numbering(&g, &p, numbering);
+                let mut scratch = EvalScratch::for_tables(&tables);
+                for dense in [false, true] {
+                    let mut ckpts = CheckpointSet::for_schedules_budgeted(&schedules, n, 0, dense);
+                    for base_seed in 1..=3u64 {
+                        let base = window_base(&tables, base_seed);
+                        let tag = format!("{label} {numbering:?} dense={dense} base={base_seed}");
+                        assert!(tables.area_feasible(&base), "{tag}");
+                        for s in 0..schedules.len() {
+                            let order = schedules.order(s);
+                            let heap = tables
+                                .makespan_with_ranks(&mut scratch, &base, order.ranks())
+                                .expect("feasible");
+                            let ck = tables
+                                .makespan_order_checkpointed(
+                                    &mut scratch,
+                                    &base,
+                                    order,
+                                    ckpts.get_mut(s),
+                                )
+                                .expect("feasible");
+                            assert!(same_result(heap, ck), "{tag} schedule {s}: {heap} vs {ck}");
+                        }
+                        // Single-node moves, then subgraph moves (runs of
+                        // consecutive ids), each to every device.
+                        let mut moves: Vec<Vec<NodeId>> =
+                            (0..n).step_by(7).map(|v| vec![NodeId(v as u32)]).collect();
+                        moves.extend(
+                            (0..n.saturating_sub(6))
+                                .step_by(11)
+                                .map(|v| (v..v + 6).map(|u| NodeId(u as u32)).collect::<Vec<_>>()),
+                        );
+                        for nodes in &moves {
+                            for d in [CPU, GPU, FPGA] {
+                                let mut cand = base.clone();
+                                for &v in nodes {
+                                    cand.set(v, d);
+                                }
+                                if cand == base || !tables.area_feasible(&cand) {
+                                    continue;
+                                }
+                                let changed =
+                                    nodes.iter().copied().filter(|&v| base.device(v) != d);
+                                for s in 0..schedules.len() {
+                                    let order = schedules.order(s);
+                                    let full = tables
+                                        .makespan_with_ranks(&mut scratch, &cand, order.ranks())
+                                        .expect("feasible");
+                                    let from = order.window_start_over(changed.clone());
+                                    let mut cutoffs = vec![f64::INFINITY, full];
+                                    if full.is_finite() && full > 0.0 {
+                                        cutoffs.push(full.next_down());
+                                    }
+                                    for cutoff in cutoffs {
+                                        match tables.makespan_order_window(
+                                            &mut scratch,
+                                            &cand,
+                                            order,
+                                            ckpts.get(s),
+                                            from,
+                                            cutoff,
+                                        ) {
+                                            WindowSim::Done(ms) => assert!(
+                                                same_result(ms, full),
+                                                "{tag} {nodes:?}->{d:?} schedule {s} \
+                                                 cutoff {cutoff}: {ms} vs {full}"
+                                            ),
+                                            WindowSim::Cutoff => assert!(
+                                                full >= cutoff,
+                                                "{tag} {nodes:?}->{d:?} schedule {s}: \
+                                                 cut at {cutoff} but full run is {full}"
+                                            ),
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

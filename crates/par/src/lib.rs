@@ -42,12 +42,37 @@
 
 pub mod pool;
 
-use std::cell::Cell;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 pub use pool::{global as global_pool, in_pool_worker, Pool};
 
+/// The machine's available parallelism (1 if unknown), queried once per
+/// process: `available_parallelism` reads cgroup and affinity state on
+/// every call, which cost a cached request more than the whole cache
+/// hit.
+pub fn machine_parallelism() -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(|| {
+        MACHINE_READS.fetch_add(1, Ordering::Relaxed);
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+static MACHINE_READS: AtomicU64 = AtomicU64::new(0);
+
+/// How often this process queried `available_parallelism` (at most
+/// once).  Tests use it to show that requests do not re-read it.
+#[doc(hidden)]
+pub fn machine_parallelism_reads() -> u64 {
+    MACHINE_READS.load(Ordering::Relaxed)
+}
+
 /// Number of worker threads to use: `SPMAP_THREADS` if set, otherwise the
-/// machine's available parallelism.
+/// machine's available parallelism ([`machine_parallelism`]).
 ///
 /// The env var is parsed defensively (see [`parse_threads`]): `0` and
 /// garbage values clamp to the serial path (1 worker) instead of
@@ -57,19 +82,14 @@ pub use pool::{global as global_pool, in_pool_worker, Pool};
 /// runs (benchmarks, CI) that set the variable to contain parallelism —
 /// serial is the safe interpretation.
 pub fn num_threads() -> usize {
-    let machine = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
     match std::env::var_os("SPMAP_THREADS") {
         // Non-UTF-8 bytes are garbage, not "unset": clamp to serial like
         // any other unparseable override.
         Some(v) => match v.to_str() {
-            Some(s) => parse_threads(s).unwrap_or_else(machine),
+            Some(s) => parse_threads(s).unwrap_or_else(machine_parallelism),
             None => 1,
         },
-        None => machine(),
+        None => machine_parallelism(),
     }
 }
 
@@ -110,12 +130,7 @@ pub fn parse_shards(raw: &str) -> Option<usize> {
 /// [`MAX_SHARDS`].  Each shard accepts one batch at a time; N shards
 /// let N concurrent callers dispatch batches in parallel.
 pub fn num_shards() -> usize {
-    let machine = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(MAX_SHARDS)
-    };
+    let machine = || machine_parallelism().min(MAX_SHARDS);
     match std::env::var_os("SPMAP_SHARDS") {
         // Non-UTF-8 bytes are garbage, not "unset": clamp to one shard
         // like any other unparseable override.
@@ -144,7 +159,7 @@ pub fn with_backend<R>(_backend: ParBackend, f: impl FnOnce() -> R) -> R {
 thread_local! {
     static POOL_OVERRIDE: std::cell::RefCell<Option<std::sync::Arc<Pool>>> =
         const { std::cell::RefCell::new(None) };
-    static DISPATCH: Cell<DispatchStats> = const { Cell::new(DispatchStats::new()) };
+    static DISPATCH: RefCell<DispatchStats> = const { RefCell::new(DispatchStats::new()) };
 }
 
 /// Run `f` with the current thread's parallel batches routed to
@@ -260,16 +275,13 @@ impl DispatchStats {
 
 /// The calling thread's dispatch counters so far.
 pub fn dispatch_stats() -> DispatchStats {
-    DISPATCH.with(Cell::get)
+    DISPATCH.with_borrow(|d| *d)
 }
 
-/// Apply `f` to the calling thread's dispatch counters.
+/// Apply `f` to the calling thread's dispatch counters, in place (every
+/// batch bumps them, and a serial candidate wave is one batch).
 pub(crate) fn bump_dispatch(f: impl FnOnce(&mut DispatchStats)) {
-    DISPATCH.with(|c| {
-        let mut d = c.get();
-        f(&mut d);
-        c.set(d);
-    });
+    DISPATCH.with_borrow_mut(f);
 }
 
 /// Interpret one `SPMAP_THREADS` value:

@@ -6,7 +6,10 @@
 //! seeded corpus, everything a mapper run reports that is a pure
 //! function of its inputs: the final makespan's f64 bits, the iteration
 //! and evaluation counts, an FNV-1a digest of the final mapping and the
-//! makespan history, and every `BatchStats` counter.
+//! makespan history, and every `BatchStats` counter.  A second pin
+//! holds the schedule positions the 1-thread runs step
+//! (`MapperResult::positions`), recorded before the window kernel was
+//! rewritten.
 //!
 //! The corpus has random SP, almost-SP and layered graphs and two
 //! workflow families, 20–80 tasks each, on the reference platform.
@@ -19,7 +22,7 @@
 //!
 //! Regenerate only for a deliberate change of decisions or counters:
 //! `cargo test --test golden -- --nocapture`, then copy the printed
-//! lines into `EXPECTED`.
+//! lines into `EXPECTED` (or `EXPECTED_POSITIONS`).
 
 use spmap::graph::gen::{layered_random, LayeredConfig};
 use spmap::prelude::*;
@@ -252,4 +255,64 @@ fn corpus_is_in_the_pinned_size_range() {
         let n = g.node_count();
         assert!((20..=80).contains(&n), "{label}: {n} tasks");
     }
+}
+
+/// One line per 1-thread run, in corpus × config order: `case
+/// positions`, the schedule positions the run stepped
+/// (`MapperResult::positions`).  At one thread the count is a pure
+/// function of the inputs, so a kernel rewrite that keeps every
+/// decision must also keep it.
+fn serial_positions() -> Vec<String> {
+    let platform = Platform::reference();
+    let mut rows = Vec::new();
+    for (graph_label, g) in corpus() {
+        let mut cases = configs();
+        if graph_label == REPORT_GRAPH {
+            cases.extend(report_configs());
+        }
+        for (cfg_label, cfg) in cases {
+            if cfg.engine.threads != Some(1) {
+                continue;
+            }
+            let r = decomposition_map(&g, &platform, &cfg);
+            rows.push(format!("{graph_label}/{cfg_label} {}", r.positions));
+        }
+    }
+    rows
+}
+
+/// Recorded pins, one `serial_positions` line each.
+const EXPECTED_POSITIONS: &str = "
+sp20/ff1 3184
+sp20/ex1 5196
+sp80/ff1 54416
+sp80/ex1 151728
+asp40/ff1 16144
+asp40/ex1 29747
+asp40/ff1-report 44207
+asp40/ex1-report 62998
+asp40/ex1-report-memo64 62998
+asp70/ff1 90034
+asp70/ex1 95523
+lay25/ff1 4379
+lay25/ex1 6190
+lay64/ff1 21328
+lay64/ex1 99913
+montage/ff1 8854
+montage/ex1 14848
+epigenomics/ff1 15676
+epigenomics/ex1 26847
+";
+
+#[test]
+fn serial_positions_are_pinned() {
+    let actual = serial_positions();
+    for row in &actual {
+        println!("{row}");
+    }
+    let expected: Vec<&str> = EXPECTED_POSITIONS
+        .lines()
+        .filter(|l| !l.is_empty())
+        .collect();
+    assert_eq!(actual, expected, "schedule positions stepped changed");
 }
